@@ -70,12 +70,18 @@ DEFAULT_TOLERANCE = 0.25
 def _environment() -> Dict[str, str]:
     import scipy
 
+    from repro.core.index import available_cpus
+
+    cpus = available_cpus()
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "platform": platform.platform(),
         "machine": platform.machine(),
+        "cpus": str(cpus),
+        # threads a large exact query_columns call fans out to
+        "kernel_workers": str(cpus),
     }
 
 

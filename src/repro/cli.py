@@ -101,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--damping", type=float, default=0.6)
     query.add_argument(
         "--query-mode", choices=("exact", "batched"), default="exact",
-        help="column evaluation: 'exact' = one GEMV per seed (bit-exact, "
+        help="column evaluation: 'exact' = einsum kernel (bit-exact, "
         "default), 'batched' = one GEMM per batch (faster at large |Q|, "
         "tolerance-equal)",
     )
@@ -235,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--query-mode", choices=("exact", "batched"), default="exact",
-        help="'exact' = per-seed GEMV, bit-exact cached columns "
+        help="'exact' = einsum kernel, bit-exact cached columns "
         "(default); 'batched' = whole miss chunks as one GEMM, cached "
         "columns tolerance-equal to exact (docs/serving.md)",
     )

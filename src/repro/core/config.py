@@ -24,10 +24,11 @@ _SOLVERS = ("squaring", "fixed_point", "direct")
 _DANGLING = ("zero", "uniform")
 
 #: Online evaluation strategies for ``[S]_{*,Q}`` (docs/algorithm.md §7):
-#: ``"exact"`` evaluates one GEMV per seed (bit-exact, batch-independent
-#: columns — the serving cache's bit-exactness contract), ``"batched"``
-#: evaluates whole seed batches as a single ``Z @ (U[Q,:])^T`` GEMM
-#: (faster at large ``|Q|``, columns tolerance-equal to exact).
+#: ``"exact"`` evaluates the partition-stable einsum kernel (bit-exact,
+#: batch-independent columns — the serving cache's bit-exactness
+#: contract), ``"batched"`` evaluates whole seed batches as a single
+#: ``Z @ (U[Q,:])^T`` GEMM (faster at large ``|Q|``, columns
+#: tolerance-equal to exact).
 QUERY_MODES = ("exact", "batched")
 
 
@@ -61,11 +62,11 @@ class CSRPlusConfig:
         error; the SVD and Stein solve always run in float64).
     query_mode:
         Default online evaluation strategy (one of :data:`QUERY_MODES`).
-        ``"exact"`` (default) evaluates one GEMV per seed, keeping every
-        column a bit-exact pure function of its seed; ``"batched"``
-        evaluates each batch as a single GEMM — ≥2x the column
-        throughput at ``|Q| >= 64`` in exchange for a documented
-        tolerance-equivalence contract
+        ``"exact"`` (default) evaluates the partition-stable einsum
+        kernel, keeping every column a bit-exact pure function of its
+        seed; ``"batched"`` evaluates each batch as a single GEMM — ≥2x
+        the column throughput at ``|Q| >= 64`` in exchange for a
+        documented tolerance-equivalence contract
         (:func:`~repro.core.index.batched_query_atol`).
     """
 

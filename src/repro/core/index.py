@@ -15,12 +15,12 @@ Online multi-source query
 
 Two evaluation strategies implement that formula (``query_mode``):
 
-* ``"exact"`` (default) — one GEMV-shaped product per seed via the
-  partition-stable :func:`exact_column_product` kernel, making every
-  column a bit-exact pure function of its seed alone — and every
-  *entry* a pure function of its own ``Z`` row — the contracts the
-  serving cache's bit-exactness and the sharded backend's row-block
-  concatenation (:mod:`repro.sharding`) rely on;
+* ``"exact"`` (default) — the blocked, partition-stable
+  :func:`exact_columns` kernel, making every column a bit-exact pure
+  function of its seed alone — and every *entry* a pure function of
+  its own ``Z`` row — the contracts the serving cache's bit-exactness
+  and the sharded backend's row-block concatenation
+  (:mod:`repro.sharding`) rely on;
 * ``"batched"`` — the whole batch as one GEMM with the identity
   scattered in afterwards; much higher column throughput at large
   ``|Q|``, with columns within :func:`batched_query_atol` of exact.
@@ -33,11 +33,15 @@ with output identical to the CSR-NI baseline at equal rank
 from __future__ import annotations
 
 import io
+import itertools
 import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from typing import Optional, Union
 
 import numpy as np
 
+import repro.obs as obs
 from repro.core.base import QueryLike, SimilarityEngine
 from repro.core.config import QUERY_MODES, CSRPlusConfig
 from repro.core.memory import sparse_nbytes
@@ -50,24 +54,157 @@ from repro.linalg.stein import (
 )
 from repro.linalg.svd import truncated_svd
 
-__all__ = ["CSRPlusIndex", "batched_query_atol", "exact_column_product"]
+__all__ = [
+    "CSRPlusIndex",
+    "batched_query_atol",
+    "exact_column_product",
+    "exact_columns",
+]
 
 
 def exact_column_product(z_rows: np.ndarray, u_row: np.ndarray) -> np.ndarray:
-    """The canonical exact kernel: ``z_rows @ u_row`` with fixed-order sums.
+    """The canonical exact kernel for one seed: ``z_rows @ u_row``.
 
     ``np.einsum`` with ``optimize=False`` reduces each output row with
-    one sequential left-to-right accumulation, so the result for row
-    ``x`` depends only on ``z_rows[x]`` and ``u_row`` — never on which
-    other rows share the call.  BLAS GEMV does not have this property:
-    its blocked kernels produce different bits for 1–3-row slices than
-    for the full product, so a row-partitioned evaluation could not
-    reproduce the monolithic bytes.  Partition stability is what lets
-    :class:`~repro.sharding.ShardedIndex` concatenate per-shard results
-    into an answer ``np.array_equal`` to the monolithic one, for *any*
-    shard layout (docs/sharding.md).
+    one fixed-order accumulation over its ``r`` products, so the result
+    for row ``x`` depends only on ``z_rows[x]`` and ``u_row`` — never on
+    which other rows share the call.  BLAS GEMV does not have this
+    property: its blocked kernels produce different bits for 1–3-row
+    slices than for the full product, so a row-partitioned evaluation
+    could not reproduce the monolithic bytes.  Partition stability is
+    what lets :class:`~repro.sharding.ShardedIndex` concatenate
+    per-shard results into an answer ``np.array_equal`` to the
+    monolithic one, for *any* shard layout (docs/sharding.md).
+
+    This is the single-row reference that the serving row patcher and
+    the top-k self score use; whole column blocks go through
+    :func:`exact_columns`, which computes every entry with the same
+    reduction and so returns the same bytes.
     """
     return np.einsum("ij,j->i", z_rows, u_row)
+
+
+#: Bytes of ``Z`` per kernel block.  A block stays cache-resident while
+#: every seed of the call is reduced against it, so ``Z`` streams from
+#: memory once per call instead of once per seed.
+KERNEL_BLOCK_BYTES = 1 << 18
+
+#: Output entries (``n * |Q|``) from which :meth:`CSRPlusIndex.
+#: query_columns` splits its row blocks over the kernel pool; smaller
+#: calls stay on the calling thread, where a hand-off would cost more
+#: than it saves.
+FAN_OUT_MIN_ENTRIES = 1 << 18
+
+
+def kernel_block_rows(rank: int, itemsize: int) -> int:
+    """Rows of ``Z`` per block of :func:`exact_columns`."""
+    return max(1, KERNEL_BLOCK_BYTES // (rank * itemsize))
+
+
+def available_cpus() -> int:
+    """CPUs this process may run on (its affinity mask, where known)."""
+    try:
+        return max(1, len(os.sched_getaffinity(0)))
+    except AttributeError:  # pragma: no cover - platforms without affinity
+        return max(1, os.cpu_count() or 1)
+
+
+def kernel_workers(num_rows: int, num_columns: int, rank: int, itemsize: int) -> int:
+    """Threads :meth:`CSRPlusIndex.query_columns` uses for one exact call.
+
+    One for calls under :data:`FAN_OUT_MIN_ENTRIES` output entries,
+    otherwise one per available CPU, capped by the number of row
+    blocks.  The choice never changes a result's bytes.
+    """
+    if num_columns == 0 or num_rows * num_columns < FAN_OUT_MIN_ENTRIES:
+        return 1
+    num_blocks = -(-num_rows // kernel_block_rows(rank, itemsize))
+    return max(1, min(available_cpus(), num_blocks))
+
+
+_pool_lock = threading.Lock()
+_pool: Optional[ThreadPoolExecutor] = None
+
+
+def _kernel_pool() -> ThreadPoolExecutor:
+    """The process-wide pool every fanned-out exact call shares.
+
+    Sized to the available CPUs, so the kernel threads of any number of
+    concurrent callers never outnumber the cores.
+    """
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(
+                max_workers=available_cpus(),
+                thread_name_prefix="cosimrank-kernel",
+            )
+        return _pool
+
+
+def _forget_pool_after_fork() -> None:
+    # A forked child inherits the pool object but none of its threads,
+    # so a submit would wait forever; the child builds its own.
+    global _pool, _pool_lock
+    _pool = None
+    _pool_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool_after_fork)
+
+
+def exact_columns(
+    z_rows: np.ndarray,
+    u_rows: np.ndarray,
+    damping: float,
+    out: np.ndarray,
+    workers: int = 1,
+) -> np.ndarray:
+    """``out[:] = damping * z_rows @ u_rows.T``, entry by exact entry.
+
+    Walks ``z_rows`` in blocks of :func:`kernel_block_rows` rows.  Each
+    block is one multi-seed ``np.einsum("ij,kj->ik")`` into its slice of
+    ``out``, scaled in place.  Entry ``(x, j)`` is the same fixed-order
+    reduction of ``z_rows[x]`` against ``u_rows[j]`` that
+    :func:`exact_column_product` performs, followed by the same
+    multiplication by ``damping``, so it depends on neither the block
+    size, the other seeds, nor ``workers``.  With ``workers > 1`` that
+    many tasks on the shared kernel pool claim blocks one at a time
+    (``np.einsum`` releases the GIL); the calling thread waits.  The
+    identity term is the caller's.
+    """
+    damping = float(damping)
+    num_rows = z_rows.shape[0]
+    step = kernel_block_rows(z_rows.shape[1], z_rows.dtype.itemsize)
+    num_blocks = -(-num_rows // step)
+
+    def run_block(lo: int) -> None:
+        block = out[lo : lo + step]
+        np.einsum("ij,kj->ik", z_rows[lo : lo + step], u_rows, out=block)
+        block *= damping
+
+    workers = min(workers, num_blocks)
+    if workers <= 1:
+        for lo in range(0, num_rows, step):
+            run_block(lo)
+        return out
+
+    # Each pool thread claims the next unclaimed block until none are
+    # left, so a thread that gets less CPU (a busy core) simply does
+    # fewer blocks instead of holding up the call.
+    claims = itertools.count()
+
+    def drain() -> None:
+        for block_id in claims:  # next() on a shared count is atomic
+            if block_id >= num_blocks:
+                return
+            run_block(block_id * step)
+
+    futures = [_kernel_pool().submit(drain) for _ in range(workers)]
+    for future in futures:
+        future.result()
+    return out
 
 
 def batched_query_atol(rank: int, dtype) -> float:
@@ -205,22 +342,31 @@ class CSRPlusIndex(SimilarityEngine):
         row ``seeds[j]`` — exactly ``[S]_{*, seeds[j]}`` by Theorem 3.5,
         which shows every output column depends only on its own seed.
 
-        ``mode="exact"`` is the *canonical* evaluation of a column: each
-        one is a separate :func:`exact_column_product` call, never part
-        of a batched GEMM.  BLAS GEMM results for one column vary
-        bitwise with the batch width (a 1-column product dispatches to
-        GEMV, and blocking differs with shape), so a batched product
-        would make a column's bits depend on which other seeds happened
-        to share the batch.  Evaluating per column makes the result a
-        pure function of the seed alone, which is what lets the serving
-        layer (:mod:`repro.serving`) cache and reuse columns with
-        bit-exact results for every cache state; the kernel's
-        *partition stability* additionally makes each entry a pure
-        function of its own ``Z`` row, which is what lets a sharded
-        backend (:mod:`repro.sharding`) concatenate per-shard row
-        blocks into the same bytes.  :meth:`query` routes through this
-        same primitive, so cached and direct answers are
+        ``mode="exact"`` is the *canonical* evaluation of a column: the
+        :func:`exact_columns` kernel computes every entry as one
+        fixed-order einsum reduction of its ``Z`` row against the
+        seed's ``U`` row, never as part of a BLAS product.  BLAS GEMM
+        results for one column vary bitwise with the batch width (a
+        1-column product dispatches to GEMV, and blocking differs with
+        shape), so a BLAS product would make a column's bits depend on
+        which other seeds happened to share the batch.  With the einsum
+        reduction each column is a pure function of the seed alone,
+        which is what lets the serving layer (:mod:`repro.serving`)
+        cache and reuse columns with bit-exact results for every cache
+        state; the kernel's *partition stability* additionally makes
+        each entry a pure function of its own ``Z`` row, which is what
+        lets a sharded backend (:mod:`repro.sharding`) concatenate
+        per-shard row blocks into the same bytes.  :meth:`query` routes
+        through this same primitive, so cached and direct answers are
         ``np.array_equal``.
+
+        The kernel walks ``Z`` in cache-sized row blocks, all seeds per
+        block.  Calls with at least :data:`FAN_OUT_MIN_ENTRIES` output
+        entries split the blocks over the process-wide kernel pool, one
+        run per available CPU (:func:`kernel_workers`); smaller calls
+        stay on the calling thread.  Neither the block size nor the
+        thread count can change a bit, because no entry's reduction
+        depends on them.
 
         ``mode="batched"`` evaluates the whole batch as one
         ``c * Z @ (U[seeds,:])^T`` GEMM with the identity scattered in —
@@ -261,14 +407,19 @@ class CSRPlusIndex(SimilarityEngine):
             )
         if mode == "batched":
             return self._query_columns_batched(seed_ids)
-        out = np.empty((n, seed_ids.size), dtype=self._z.dtype, order="F")
-        for j, seed in enumerate(seed_ids):
-            column = self.damping * exact_column_product(
-                self._z, self._u[int(seed), :]
-            )
-            column[seed] += 1.0
-            out[:, j] = column
+        k = int(seed_ids.size)
+        out = np.empty((n, k), dtype=self._z.dtype, order="F")
+        exact_columns(
+            self._z, self._u[seed_ids, :], self.damping, out, self._exact_workers(k)
+        )
+        out[seed_ids, np.arange(k)] += 1.0
         return out
+
+    def _exact_workers(self, num_columns: int) -> int:
+        """Kernel threads for an exact call of ``num_columns`` seeds."""
+        return kernel_workers(
+            self.num_nodes, num_columns, self._z.shape[1], self._z.dtype.itemsize
+        )
 
     def _query_columns_batched(self, seed_ids: np.ndarray) -> np.ndarray:
         """One GEMM for the whole batch (validated ids, factors present)."""
@@ -292,13 +443,20 @@ class CSRPlusIndex(SimilarityEngine):
         )
 
         # [S]_{*,Q} = [I_n]_{*,Q} + c * Z * (U[Q, :])^T, evaluated once
-        # per distinct seed (per-seed GEMV or one GEMM, per the
-        # configured query_mode) and scattered to duplicate positions.
+        # per distinct seed (per the configured query_mode).  Distinct
+        # ids are answered in caller order; duplicates are computed once
+        # and scattered to their positions.
         unique_ids, inverse = np.unique(query_ids, return_inverse=True)
-        result = self.query_columns(unique_ids)
-        if unique_ids.size != num_queries or not np.array_equal(
-            unique_ids, query_ids
-        ):
+        distinct = unique_ids.size == num_queries
+        seeds = query_ids if distinct else unique_ids
+        span = obs.get_tracer().current_span()
+        if span is not None:
+            exact = self.config.query_mode == "exact"
+            span.set_attribute(
+                "workers", self._exact_workers(seeds.size) if exact else 1
+            )
+        result = self.query_columns(seeds)
+        if not distinct:
             result = result[:, inverse]
         self.memory.charge("query/S", result.nbytes)
         return result

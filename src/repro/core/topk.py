@@ -29,10 +29,11 @@ Both kernels reproduce ``SimilarityEngine.top_k``'s exact ordering —
 descending score, ties broken by ascending node id — so their results
 are drop-in substitutes for the full-sort path.  In ``"exact"`` query
 mode the blockwise scores are *bit-identical* to the full column
-(the partition-stable :func:`~repro.core.index.exact_column_product`
-kernel evaluates each row independently); ``"batched"`` mode uses one
-GEMM per block and inherits the
-:func:`~repro.core.index.batched_query_atol` tolerance contract.
+(the partition-stable :func:`~repro.core.index.exact_columns` kernel,
+one call per block for all live seeds, evaluates each row
+independently); ``"batched"`` mode uses one GEMM per block and
+inherits the :func:`~repro.core.index.batched_query_atol` tolerance
+contract.
 """
 
 from __future__ import annotations
@@ -44,7 +45,12 @@ import numpy as np
 
 import repro.obs as obs
 from repro.core.config import QUERY_MODES
-from repro.core.index import CSRPlusIndex, batched_query_atol, exact_column_product
+from repro.core.index import (
+    CSRPlusIndex,
+    batched_query_atol,
+    exact_column_product,
+    exact_columns,
+)
 from repro.errors import InvalidParameterError
 
 __all__ = ["TopKResult", "top_k_pruned", "top_k_blockwise"]
@@ -400,14 +406,14 @@ def top_k_blockwise(
                         block_scores = z_blk @ u_rows[active, :].T
                         block_scores *= damping
                     else:
-                        block_scores = None
+                        block_scores = exact_columns(
+                            z_blk,
+                            u_rows[active, :],
+                            damping,
+                            np.empty((rows, active.size), dtype=dtype, order="F"),
+                        )
                     for pos, i in enumerate(active):
-                        if mode == "batched":
-                            col = block_scores[:, pos]
-                        else:
-                            col = damping * exact_column_product(
-                                z_blk, u_rows[i]
-                            )
+                        col = block_scores[:, pos]
                         # the seed's own row was handled up front (its
                         # diagonal +1 breaks the bound ordering), so it
                         # is never a candidate here

@@ -15,8 +15,8 @@ For :class:`ColumnCache` the unit is one *column* of the CoSimRank block: the
 length-``n`` vector ``[S]_{*,s}`` for a single seed ``s``.  Theorem 3.5
 makes every column a pure function of its own seed, and
 :meth:`repro.core.index.CSRPlusIndex.query_columns` evaluates columns
-with a batch-independent per-column kernel
-(:func:`repro.core.index.exact_column_product`) — together these
+with a batch-independent, partition-stable kernel
+(:func:`repro.core.index.exact_columns`) — together these
 make caching *exact*: a column assembled from cache is bit-identical to
 one computed fresh, whatever else is or was in the cache.
 

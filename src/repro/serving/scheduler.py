@@ -85,9 +85,10 @@ def plan_batch(requests: Sequence[QueryLike], num_nodes: int) -> BatchPlan:
 def effective_chunk_size(chunk_size: int, query_mode: str = "exact") -> int:
     """Worker-chunk width tuned for the query mode's kernel shape.
 
-    ``"exact"`` mode evaluates one GEMV per seed, so the configured
-    ``chunk_size`` is purely a scheduling granularity and passes
-    through unchanged.  ``"batched"`` mode evaluates each chunk as one
+    ``"exact"`` mode computes every entry independently of its
+    chunk-mates, so the configured ``chunk_size`` is purely a
+    scheduling granularity and passes through unchanged.
+    ``"batched"`` mode evaluates each chunk as one
     GEMM whose width *is* the chunk size; chunks are widened to at
     least :data:`GEMM_MIN_CHUNK` columns so the kernel amortises its
     blocking (narrower chunks would pay GEMM overheads at GEMV speed).

@@ -15,7 +15,7 @@ monolithic factors:
    block, exactly as the monolithic path does.
 
 Exactness: in ``"exact"`` mode each shard evaluates the same
-partition-stable kernel (:func:`~repro.core.index.exact_column_product`)
+partition-stable kernel (:func:`~repro.core.index.exact_columns`)
 the monolithic index uses, and that kernel's output for row ``x``
 depends only on ``Z[x]`` and the query vector — so the concatenation
 is ``np.array_equal`` to the monolithic answer for any shard layout
@@ -47,7 +47,7 @@ import numpy as np
 
 import repro.obs as obs
 from repro.core.config import QUERY_MODES, CSRPlusConfig
-from repro.core.index import exact_column_product
+from repro.core.index import exact_columns
 from repro.errors import InvalidParameterError, ShardCorrupted
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import Tracer
@@ -375,10 +375,7 @@ class ShardedIndex:
                         partial *= damping
                         block[:] = partial
                     else:
-                        for j in range(k):
-                            block[:, j] = damping * exact_column_product(
-                                shard.z, u_rows[j]
-                            )
+                        exact_columns(shard.z, u_rows, damping, block)
                 self._m_tasks.inc()
 
             # fan out: disjoint output row ranges, safe to fill in
@@ -406,12 +403,9 @@ class ShardedIndex:
 
         query_ids = normalize_queries(queries, self.num_nodes)
         unique_ids, inverse = np.unique(query_ids, return_inverse=True)
-        result = self.query_columns(unique_ids)
-        if unique_ids.size != query_ids.size or not np.array_equal(
-            unique_ids, query_ids
-        ):
-            result = result[:, inverse]
-        return result
+        if unique_ids.size == query_ids.size:
+            return self.query_columns(query_ids)
+        return self.query_columns(unique_ids)[:, inverse]
 
     # ------------------------------------------------------------------
     # lifecycle

@@ -4,8 +4,9 @@ Three contracts, each searched for counterexamples with Hypothesis:
 
 1. **Exactness of the default.** ``query_mode="exact"`` output is
    bit-identical to the canonical per-seed GEMV loop (the pre-fast-path
-   evaluation) — the fast path must not perturb the default by a single
-   ulp.
+   evaluation) for every kernel block size and thread count — neither
+   the fast path nor the blocked, threaded exact kernel may perturb the
+   default by a single ulp.
 2. **Tolerance equivalence of the fast path.** For any graph, any seed
    batch, and either storage dtype, every entry of the batched result
    is within ``batched_query_atol(rank, dtype)`` of the exact one.
@@ -23,6 +24,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.core.index as index_module
 from repro.core.index import CSRPlusIndex, batched_query_atol
 from repro.errors import InvalidParameterError
 from repro.graphs.digraph import DiGraph
@@ -88,16 +90,34 @@ class TestModeContracts:
     def test_exact_mode_matches_reference_bitwise(self, data):
         graph, seeds, rank, dtype = data
         index = CSRPlusIndex(graph, rank=rank, dtype=dtype).prepare()
-        reference = _reference_per_seed_columns(index, seeds)
-        assert np.array_equal(index.query_columns(seeds), reference)
-        assert np.array_equal(
-            index.query_columns(seeds, mode="exact"), reference
-        )
-        # query() routes through the same primitive for distinct seeds
-        assert np.array_equal(
-            index.query(sorted(set(seeds))),
-            index.query_columns(sorted(set(seeds))),
-        )
+        n, itemsize = index.num_nodes, np.dtype(dtype).itemsize
+        # as drawn (duplicates likely), with a forced duplicate, and empty
+        batches = [seeds, seeds + seeds[:1], []]
+        references = [_reference_per_seed_columns(index, b) for b in batches]
+        with pytest.MonkeyPatch.context() as patch:
+            # every call takes the blocked kernel, and the kernel pool
+            # whenever more than one worker is available
+            patch.setattr(index_module, "FAN_OUT_MIN_ENTRIES", 0)
+            for block_rows in sorted({1, 2, 7, n}):
+                patch.setattr(
+                    index_module, "KERNEL_BLOCK_BYTES", block_rows * rank * itemsize
+                )
+                for workers in (1, 2, 3):
+                    patch.setattr(
+                        index_module, "available_cpus", lambda w=workers: w
+                    )
+                    for batch, reference in zip(batches, references):
+                        assert np.array_equal(index.query_columns(batch), reference)
+                        assert np.array_equal(
+                            index.query_columns(batch, mode="exact"), reference
+                        )
+                    # query() computes distinct seeds in caller order and
+                    # scatters duplicates; both land on the same bytes
+                    assert np.array_equal(index.query(seeds), references[0])
+                    assert np.array_equal(
+                        index.query(sorted(set(seeds))),
+                        index.query_columns(sorted(set(seeds))),
+                    )
 
     @given(data=graph_and_seeds())
     @settings(**SETTINGS)
