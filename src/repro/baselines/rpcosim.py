@@ -86,9 +86,7 @@ class RPCoSimEngine(SimilarityEngine):
 
         # Iterate in float64 for stability, then store each retained
         # sketch in the requested dtype (the same cast-on-store policy
-        # as CSRPlusIndex factors).  C-contiguous, so an npz round trip
-        # (ApproxIndex.save/load) restores the exact memory layout and
-        # reloaded replicas answer bit-identically.
+        # as CSRPlusIndex factors), C-contiguous.
         rng = np.random.default_rng(self.seed)
         sketch = rng.standard_normal((d, n)) / np.sqrt(d)
         sketches = [np.ascontiguousarray(sketch, dtype=self.dtype)]

@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.config import CSRPlusConfig
-from repro.core.index import CSRPlusIndex
+from repro.core.index import CSRPlusIndex, replica_rank
 from repro.core.topk import top_k_blockwise
 from repro.errors import GraphFormatError, InvalidParameterError
 from repro.graphs.digraph import DiGraph
@@ -44,7 +44,6 @@ from repro.serving.loadgen import (
     loadgen_slos,
     run_load,
 )
-from repro.serving.approx import ApproxIndex
 from repro.serving.service import CoSimRankService
 
 __all__ = [
@@ -263,13 +262,13 @@ def run_bench(
     )
     metrics["loadgen_ok_rate"] = _metric(report.ok_rate, "fraction", "higher")
 
-    # Approximate tier (docs/approx.md): sketch-replica column
+    # Approximate tier (docs/approx.md): rank-truncated replica column
     # throughput, plus a deterministic overload A/B — the same
     # over-budget traffic served exact-only (sheds) and quality="auto"
     # (degrades onto the replica).  The coverage metric is the headline:
     # the fraction of requests the exact-only baseline shed that the
     # auto policy turned into served (approx) answers.
-    approx = ApproxIndex.for_rank(graph, config.rank, damping=damping).prepare()
+    approx = index.truncate_to_rank(replica_rank(index.rank))
     metrics["approx_columns_per_second"] = _metric(
         _throughput(lambda: approx.query_columns(seeds), seeds.size),
         "columns/s",
@@ -351,7 +350,8 @@ def run_bench(
         "overload": {
             "profile": overload_profile.as_dict(),
             "max_inflight_seeds": 4,
-            "approx_atol": approx.query_atol(),
+            "replica_rank": approx.rank,
+            "approx_atol": approx.approx_atol,
             "exact_outcomes": dict(overload_reports["exact"].outcomes),
             "auto_outcomes": dict(overload_reports["auto"].outcomes),
         },

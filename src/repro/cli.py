@@ -45,7 +45,7 @@ import time
 from typing import List, Optional
 
 from repro.core.config import CSRPlusConfig
-from repro.core.index import CSRPlusIndex
+from repro.core.index import CSRPlusIndex, replica_rank
 from repro.datasets.registry import dataset_keys, load_dataset, paper_table
 from repro.errors import ReproError
 from repro.experiments.report import render_table
@@ -270,15 +270,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--quality", choices=("exact", "approx", "auto"), default="exact",
         help="serving tier: 'exact' (default), 'approx' = answer from "
-        "the sketch replica within its published atol, 'auto' = exact "
-        "but downgrade would-be sheds to the replica instead of "
+        "the rank-truncated replica within its published atol, 'auto' = "
+        "exact but downgrade would-be sheds to the replica instead of "
         "raising ServiceOverloaded (docs/approx.md; needs a graph "
         "source, not --shards)",
-    )
-    serve.add_argument(
-        "--approx-projections", type=int, default=256, metavar="D",
-        help="sketch width d of the approximate replica (larger = "
-        "tighter atol, more memory; with --quality approx/auto)",
     )
     serve.add_argument(
         "--cache-validate", action="store_true",
@@ -436,13 +431,8 @@ def build_parser() -> argparse.ArgumentParser:
     loadgen.add_argument(
         "--quality", choices=("exact", "approx", "auto"), default="exact",
         help="serving tier per request: 'auto' turns would-be sheds "
-        "into approx outcomes served by the sketch replica "
+        "into approx outcomes served by the rank-truncated replica "
         "(docs/approx.md)",
-    )
-    loadgen.add_argument(
-        "--approx-projections", type=int, default=256, metavar="D",
-        help="sketch width d of the approximate replica (with "
-        "--quality approx/auto)",
     )
     loadgen.add_argument(
         "--mutate-every", type=int, default=0, metavar="N",
@@ -550,11 +540,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--coalesce-ms", type=float, default=2.0, metavar="MS",
         help="window in which concurrent HTTP requests merge into one "
         "service batch (0 = coalesce only what is already queued)",
-    )
-    serve.add_argument(
-        "--approx-projections", type=int, default=None, metavar="D",
-        help="serve quality=approx/auto from a sketch replica of width "
-        "D, built beside the store if missing (needs a graph source)",
     )
     serve.add_argument(
         "--no-admin", action="store_true",
@@ -918,8 +903,8 @@ def _cmd_serve_batch(args: argparse.Namespace) -> int:
         if args.quality != "exact":
             raise InvalidParameterError(
                 "--quality approx/auto needs a graph source "
-                "(--dataset/--edge-list) to build the sketch replica "
-                "from; --shards carries only the exact factors"
+                "(--dataset/--edge-list) to build the replica from; "
+                "--shards carries only the exact factors"
             )
         index = ShardedIndex(args.shards)
         num_nodes, num_edges = index.num_nodes, None
@@ -955,16 +940,9 @@ def _cmd_serve_batch(args: argparse.Namespace) -> int:
         else:
             index = CSRPlusIndex(graph, config).prepare()
 
-    approx_index = None
-    if args.quality != "exact":
-        from repro.serving import ApproxIndex
-
-        approx_index = ApproxIndex.for_rank(
-            graph,
-            config.rank,
-            damping=config.damping,
-            num_projections=args.approx_projections,
-        ).prepare()
+    approx_index = (
+        _replica_for(index, graph, config) if args.quality != "exact" else None
+    )
 
     passes = []
     slow_query_seconds = (
@@ -1072,8 +1050,8 @@ def _cmd_serve_batch(args: argparse.Namespace) -> int:
     }
     if approx_index is not None:
         payload["approx"] = {
-            "num_projections": approx_index.num_projections,
-            "atol": approx_index.query_atol(),
+            "rank": approx_index.rank,
+            "atol": approx_index.approx_atol,
         }
     if topk_stats is not None:
         payload["topk"] = args.topk
@@ -1153,8 +1131,8 @@ def _cmd_serve_batch(args: argparse.Namespace) -> int:
         print(
             f"tiers: exact={stats.tier_exact} approx={stats.tier_approx} "
             f"downgrades={stats.approx_downgrades} "
-            f"(replica d={approx_index.num_projections}, "
-            f"atol {approx_index.query_atol():.3g})"
+            f"(replica rank={approx_index.rank}, "
+            f"atol {approx_index.approx_atol:.3g})"
         )
     if slow_query_seconds is not None:
         print(
@@ -1203,6 +1181,15 @@ def _load_graph(args: argparse.Namespace):
     return graph
 
 
+def _replica_for(index, graph, config: CSRPlusConfig) -> CSRPlusIndex:
+    """The degraded tier's replica (docs/approx.md): ``index`` truncated
+    to :func:`~repro.core.index.replica_rank`, after preparing a
+    monolithic index from ``graph`` when ``index`` is not one."""
+    if not isinstance(index, CSRPlusIndex):
+        index = CSRPlusIndex(graph, config).prepare()
+    return index.truncate_to_rank(replica_rank(index.rank))
+
+
 def _cmd_loadgen(args: argparse.Namespace) -> int:
     import time as _time
 
@@ -1233,16 +1220,9 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         index = chain.index
     else:
         index = CSRPlusIndex(graph, config).prepare()
-    approx_index = None
-    if args.quality != "exact":
-        from repro.serving import ApproxIndex
-
-        approx_index = ApproxIndex.for_rank(
-            graph,
-            config.rank,
-            damping=config.damping,
-            num_projections=args.approx_projections,
-        ).prepare()
+    approx_index = (
+        _replica_for(index, graph, config) if args.quality != "exact" else None
+    )
     profile = LoadProfile(
         requests=args.requests,
         qps=args.qps,
@@ -1454,16 +1434,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.errors import InvalidParameterError
     from repro.serving.frontend import FrontendConfig, FrontendServer
     from repro.serving.frontend.protocol import WIRE_VERSION
+    from repro.sharding import REPLICA_DIR, build_sharded_store, replica_store_path
 
-    graph = None
-    approx_path = None
     if args.shards:
-        if args.approx_projections is not None:
-            raise InvalidParameterError(
-                "--approx-projections needs a graph source "
-                "(--dataset/--edge-list) to build and load the sketch "
-                "replica against; --shards carries only the exact factors"
-            )
         store_path = args.shards
         if not os.path.exists(os.path.join(store_path, "manifest.json")):
             raise InvalidParameterError(
@@ -1479,33 +1452,22 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         graph = _load_graph(args)
         store_path = args.store
         if not os.path.exists(os.path.join(store_path, "manifest.json")):
-            from repro.sharding import build_sharded_store
-
             config = CSRPlusConfig(
                 damping=args.damping,
                 rank=min(args.rank, graph.num_nodes),
                 query_mode=args.query_mode,
             )
             build_sharded_store(
-                graph, store_path, num_shards=args.num_shards, config=config
+                graph,
+                store_path,
+                num_shards=args.num_shards,
+                config=config,
+                replica_path=os.path.join(store_path, REPLICA_DIR),
             )
-            print(f"built sharded store at {store_path}", file=sys.stderr)
-        if args.approx_projections is not None:
-            from repro.serving import ApproxIndex
-            from repro.sharding import ShardStore
-
-            manifest = ShardStore(store_path).manifest
-            approx_path = os.path.join(store_path, "approx.npz")
-            if not os.path.exists(approx_path):
-                ApproxIndex.for_rank(
-                    graph,
-                    manifest.rank,
-                    damping=manifest.damping,
-                    num_projections=args.approx_projections,
-                ).prepare().save(approx_path)
-                print(
-                    f"built approx replica at {approx_path}", file=sys.stderr
-                )
+            print(
+                f"built sharded store and its replica at {store_path}",
+                file=sys.stderr,
+            )
 
     config = FrontendConfig(
         host=args.host,
@@ -1519,9 +1481,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         admin=not args.no_admin,
         validate_reads=args.validate_reads,
     )
-    server = FrontendServer(
-        store_path, config=config, approx_path=approx_path, graph=graph
-    )
+    server = FrontendServer(store_path, config=config)
 
     async def _run() -> None:
         await server.start()
@@ -1537,7 +1497,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 "num_nodes": server.num_nodes,
                 "workers": server.pool.worker_pids(),
                 "store": store_path,
-                "quality_tiers": approx_path is not None,
+                "quality_tiers": replica_store_path(store_path) is not None,
             }),
             flush=True,
         )

@@ -56,9 +56,13 @@ from repro.linalg.svd import truncated_svd
 
 __all__ = [
     "CSRPlusIndex",
+    "REPLICA_RANK_DIVISOR",
     "batched_query_atol",
     "exact_column_product",
     "exact_columns",
+    "replica_rank",
+    "truncation_atol",
+    "truncation_residual_norms",
 ]
 
 
@@ -223,6 +227,54 @@ def batched_query_atol(rank: int, dtype) -> float:
     return 64.0 * max(1, int(rank)) * float(np.finfo(np.dtype(dtype)).eps)
 
 
+#: The degraded serving tier answers from a replica that keeps one rank
+#: in this many of its source index (docs/approx.md).
+REPLICA_RANK_DIVISOR = 4
+
+
+def replica_rank(rank: int) -> int:
+    """Rank ``r' = max(1, r // REPLICA_RANK_DIVISOR)`` of a serving replica."""
+    return max(1, int(rank) // REPLICA_RANK_DIVISOR)
+
+
+def truncation_residual_norms(
+    z_rows: np.ndarray, z_small_rows: np.ndarray
+) -> np.ndarray:
+    """Per-row ``||D_i||`` (float64) of ``D = Z - [Z', 0]``.
+
+    ``Z'`` is the query factor of a rank-``r'`` truncation of the same
+    SVD (:meth:`CSRPlusIndex.truncate_to_rank`), padded with zero
+    columns to rank ``r``.
+    """
+    residual = z_rows.astype(np.float64)
+    residual[:, : z_small_rows.shape[1]] -= z_small_rows
+    return np.linalg.norm(residual, axis=1)
+
+
+def truncation_atol(
+    damping: float,
+    max_residual_norm: float,
+    max_u_norm: float,
+    rank: int,
+    dtype,
+) -> float:
+    """Per-entry bound between a rank-truncated replica and its source.
+
+    The replica keeps ``U' = U[:, :r']``, so its column for seed ``q``
+    is ``e_q + c * [Z', 0] @ U_q`` and differs from the exact column by
+    exactly ``c * D @ U_q``.  Cauchy–Schwarz bounds entry ``i`` by
+    ``c * ||D_i|| * ||U_q||``, hence every served entry satisfies
+
+        ``|replica - exact| <= c * max_i ||D_i|| * max_q ||U_q||
+        + batched_query_atol(r, dtype)``,
+
+    the last term covering both sides' rounding.  Computed from the
+    stored-dtype factors in ``O(n r)`` when the replica is built.
+    """
+    bound = float(damping) * float(max_residual_norm) * float(max_u_norm)
+    return bound + batched_query_atol(rank, dtype)
+
+
 class CSRPlusIndex(SimilarityEngine):
     """Multi-source CoSimRank index (the paper's CSR+ algorithm).
 
@@ -271,6 +323,9 @@ class CSRPlusIndex(SimilarityEngine):
         self._z: Optional[np.ndarray] = None
         self._z_norms: Optional[np.ndarray] = None
         self.stein_iterations: int = 0
+        #: Published per-entry error bound against the index this one was
+        #: truncated from (:func:`truncation_atol`); ``None`` otherwise.
+        self.approx_atol: Optional[float] = None
 
     # ------------------------------------------------------------------
     # offline phase (Algorithm 1, lines 1-6)
@@ -559,7 +614,10 @@ class CSRPlusIndex(SimilarityEngine):
         decomposition: slice ``U``/``Sigma``, re-derive ``H``, ``P`` and
         ``Z`` in ``O(r'^3 + n r'^2)``.  Useful for accuracy/cost sweeps
         (one SVD, many ranks) — the rank-tuning helpers and Table-3
-        style studies are the intended callers.
+        style studies — and for the degraded serving tier, which
+        answers from such a replica (docs/approx.md).  The result's
+        :attr:`approx_atol` bounds every entry's distance to this
+        index's answer (:func:`truncation_atol`).
         """
         self._require_prepared()
         if not (1 <= rank <= self.config.rank):
@@ -606,6 +664,13 @@ class CSRPlusIndex(SimilarityEngine):
         sibling.memory.charge("precompute/P", p_small.nbytes)
         sibling.memory.charge("precompute/Z", sibling._z.nbytes)
         sibling._prepared = True
+        sibling.approx_atol = truncation_atol(
+            cfg.damping,
+            truncation_residual_norms(self._z, z_small).max(),
+            np.linalg.norm(self._u.astype(np.float64, copy=False), axis=1).max(),
+            self.config.rank,
+            self._z.dtype,
+        )
         return sibling
 
     # ------------------------------------------------------------------

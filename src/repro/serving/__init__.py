@@ -35,12 +35,10 @@ into a traffic-serving component:
 * :mod:`repro.serving.loadgen` — deterministic open-loop load
   generation (Zipf popularity, bursts, SLO verdicts, and live-mutation
   schedules) behind ``csrplus loadgen`` and ``csrplus bench``;
-* :class:`~repro.serving.approx.ApproxIndex` /
-  :func:`~repro.serving.approx.approx_query_atol` — the approximate
-  serving tier (docs/approx.md): random-projection sketches behind the
-  exact index's query surface, with a published AvgDiff error
-  contract, backing the ``quality="approx"``/``"auto"`` degrade
-  policy;
+* the ``quality="approx"``/``"auto"`` degraded tier (docs/approx.md):
+  the service's ``approx_index=`` replica is a rank-truncated CSR+
+  index (:func:`~repro.core.index.replica_rank`) served through the
+  same pipeline, with a published per-entry error bound;
 * :mod:`repro.serving.frontend` — the multi-process network front end
   (docs/frontend.md): an asyncio HTTP/JSON server fanning queries to a
   pool of worker processes that mmap the sharded store read-only (one
@@ -52,7 +50,6 @@ into a traffic-serving component:
 """
 
 from repro.serving.admission import SeedBudget
-from repro.serving.approx import ApproxConfig, ApproxIndex, approx_query_atol
 from repro.serving.cache import ColumnCache, TopKCache
 from repro.serving.loadgen import (
     LoadProfile,
@@ -93,9 +90,6 @@ from repro.serving.frontend import (  # noqa: E402  (deliberate ordering)
 __all__ = [
     "CoSimRankService",
     "QUALITY_LEVELS",
-    "ApproxConfig",
-    "ApproxIndex",
-    "approx_query_atol",
     "ColumnCache",
     "TopKCache",
     "ServingStats",

@@ -7,7 +7,7 @@ See docs/frontend.md.  The pieces:
 * :mod:`~repro.serving.frontend.worker` — worker processes that mmap
   the sharded store read-only and run the unchanged kernels, plus the
   :class:`WorkerPool` that owns and respawns them;
-* :mod:`~repro.serving.frontend.pooled` — proxy indexes that let
+* :mod:`~repro.serving.frontend.pooled` — the proxy index that lets
   :class:`~repro.serving.service.CoSimRankService` *be* the dispatcher;
 * :mod:`~repro.serving.frontend.metrics` — the summing merge of
   per-worker metric snapshots into one Prometheus scrape;
@@ -22,7 +22,7 @@ from repro.serving.frontend.metrics import (
     merge_metric_dicts,
     render_merged_prometheus,
 )
-from repro.serving.frontend.pooled import PooledApproxIndex, PooledIndex
+from repro.serving.frontend.pooled import PooledIndex
 from repro.serving.frontend.protocol import (
     WIRE_VERSION,
     decode_array,
@@ -45,7 +45,6 @@ __all__ = [
     "FrontendClient",
     "FrontendConfig",
     "FrontendServer",
-    "PooledApproxIndex",
     "PooledIndex",
     "WorkerPool",
     "decode_array",

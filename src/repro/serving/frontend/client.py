@@ -258,15 +258,15 @@ class FrontendClient:
         store_path: str,
         *,
         dirty_ranges: Optional[Sequence[Tuple[int, int]]] = None,
-        approx_path: Optional[str] = None,
+        replica_path: Optional[str] = None,
     ) -> int:
         body: Dict[str, Any] = {"store_path": str(store_path)}
         if dirty_ranges is not None:
             body["dirty_ranges"] = [
                 [int(start), int(stop)] for start, stop in dirty_ranges
             ]
-        if approx_path is not None:
-            body["approx_path"] = str(approx_path)
+        if replica_path is not None:
+            body["replica_path"] = str(replica_path)
         return int(self._call("/admin/publish", body)["index_version"])
 
     def arm_faults(self, rules: Sequence[Dict[str, Any]]) -> None:

@@ -1,4 +1,4 @@
-"""Proxy indexes that route kernel calls to the worker pool.
+"""Proxy index that routes kernel calls to the worker pool.
 
 :class:`PooledIndex` presents the backend surface
 :class:`~repro.serving.service.CoSimRankService` computes against —
@@ -20,6 +20,10 @@ store (workers keep the previous version open — see
 ``KEEP_VERSIONS``), which is how
 :meth:`~repro.serving.service.CoSimRankService.publish_index`'s
 zero-downtime contract extends across processes.
+
+Each proxy also names a *tier*: ``"exact"`` routes to a version's
+exact store, ``"approx"`` to its rank-truncated replica store — the
+service's ``approx_index`` in the frontend (docs/approx.md).
 """
 
 from __future__ import annotations
@@ -29,19 +33,23 @@ from typing import Any, Dict, List, Optional
 import numpy as np
 
 from repro.core.config import CSRPlusConfig
-from repro.errors import InvalidParameterError
-from repro.serving.approx import approx_query_atol
 
-__all__ = ["PooledIndex", "PooledApproxIndex"]
+__all__ = ["PooledIndex"]
 
 
 class PooledIndex:
-    """The exact serving surface, evaluated in worker processes."""
+    """The serving surface of one tier's store, evaluated in worker
+    processes."""
 
-    def __init__(self, pool, meta: Dict[str, Any], version: int = 0):
+    def __init__(
+        self, pool, meta: Dict[str, Any], version: int = 0, tier: str = "exact"
+    ):
         self._pool = pool
         self._meta = dict(meta)
         self.version = int(version)
+        self.tier = tier
+        #: the replica store's published error bound (``None`` for exact)
+        self.approx_atol = meta.get("approx_atol")
         self.num_nodes = int(meta["num_nodes"])
         self.dtype = np.dtype(meta["dtype"])
         config = meta.get("config", {})
@@ -62,7 +70,7 @@ class PooledIndex:
         return True
 
     def query_columns(self, seeds, mode: Optional[str] = None) -> np.ndarray:
-        return self._pool.columns(self.version, seeds, mode)
+        return self._pool.columns(self.version, seeds, mode, self.tier)
 
     def top_k_chunk(
         self,
@@ -80,7 +88,9 @@ class PooledIndex:
         to the mmapped shard bytes instead of streaming row blocks over
         the pipe.
         """
-        return self._pool.topk(self.version, seeds, k, exclude_self, mode)
+        return self._pool.topk(
+            self.version, seeds, k, exclude_self, mode, self.tier
+        )
 
     def gather_z_rows(self, rows) -> np.ndarray:
         return self._pool.gather(self.version, "z", rows)
@@ -93,71 +103,10 @@ class PooledIndex:
 
     def at_version(self, version: int, meta: Optional[Dict[str, Any]] = None):
         """A sibling proxy pinned to another published version."""
-        return PooledIndex(self._pool, meta or self._meta, version)
+        return PooledIndex(self._pool, meta or self._meta, version, self.tier)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"PooledIndex(n={self.num_nodes}, version={self.version}, "
-            f"pool={self._pool!r})"
-        )
-
-
-class PooledApproxIndex:
-    """The approximate tier's surface, evaluated in worker processes.
-
-    Mirrors what :meth:`CoSimRankService._serve_batch_approx` and
-    ``_serve_topk_approx`` touch on an
-    :class:`~repro.serving.approx.ApproxIndex`: ``query_columns`` (one
-    call per downgraded batch), ``top_k_batch``, ``num_nodes``,
-    ``dtype``, ``config.num_projections``, and ``query_atol``.
-    """
-
-    class _Config:
-        __slots__ = ("num_projections",)
-
-        def __init__(self, num_projections: int):
-            self.num_projections = int(num_projections)
-
-    def __init__(self, pool, meta: Dict[str, Any], version: int = 0):
-        approx = meta.get("approx")
-        if not approx:
-            raise InvalidParameterError(
-                "worker pool has no approx replica (build the store with "
-                "an .approx.npz sidecar to enable quality=approx)"
-            )
-        self._pool = pool
-        self._meta = dict(meta)
-        self.version = int(version)
-        self.num_nodes = int(meta["num_nodes"])
-        self.dtype = np.dtype(approx["dtype"])
-        self.config = self._Config(approx["num_projections"])
-        self._atol = float(
-            approx.get(
-                "query_atol",
-                approx_query_atol(
-                    self.config.num_projections,
-                    float(meta.get("config", {}).get("damping", 0.6)),
-                ),
-            )
-        )
-
-    def prepare(self) -> "PooledApproxIndex":
-        return self
-
-    def query_atol(self) -> float:
-        return self._atol
-
-    def query_columns(self, seeds, mode: Optional[str] = None) -> np.ndarray:
-        return self._pool.approx_columns(self.version, seeds)
-
-    def top_k_batch(self, seeds, k: int, exclude_self: bool = True) -> List[Any]:
-        return self._pool.approx_topk(self.version, seeds, k, exclude_self)
-
-    def at_version(self, version: int, meta: Optional[Dict[str, Any]] = None):
-        return PooledApproxIndex(self._pool, meta or self._meta, version)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"PooledApproxIndex(n={self.num_nodes}, "
-            f"d={self.config.num_projections}, version={self.version})"
+            f"tier={self.tier}, pool={self._pool!r})"
         )

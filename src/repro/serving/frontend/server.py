@@ -61,7 +61,7 @@ from repro.errors import (
 )
 from repro.obs import MetricsRegistry
 from repro.serving.frontend.metrics import render_merged_prometheus
-from repro.serving.frontend.pooled import PooledApproxIndex, PooledIndex
+from repro.serving.frontend.pooled import PooledIndex
 from repro.serving.frontend.protocol import (
     WIRE_VERSION,
     encode_batch_result,
@@ -115,8 +115,6 @@ class FrontendServer:
         store_path: str,
         *,
         config: Optional[FrontendConfig] = None,
-        approx_path: Optional[str] = None,
-        graph=None,
         mp_context=None,
     ):
         self.config = config or FrontendConfig()
@@ -125,19 +123,13 @@ class FrontendServer:
             self.config.workers,
             query_mode=self.config.query_mode,
             validate_reads=self.config.validate_reads,
-            approx_path=approx_path,
-            graph=graph,
             mp_context=mp_context,
         )
         try:
             meta = self.pool.describe()
             self._meta = meta
             index = PooledIndex(self.pool, meta, version=0)
-            approx = (
-                PooledApproxIndex(self.pool, meta, version=0)
-                if meta.get("has_approx")
-                else None
-            )
+            approx = self._replica_proxy(meta, 0)
             self.service = CoSimRankService(
                 index,
                 cache_columns=self.config.cache_columns,
@@ -283,7 +275,7 @@ class FrontendServer:
         store_path: str,
         *,
         dirty_ranges: Optional[Sequence[Tuple[int, int]]] = None,
-        approx_path: Optional[str] = None,
+        replica_path: Optional[str] = None,
     ) -> int:
         """Swap every worker (and the dispatcher caches) to a new store.
 
@@ -296,10 +288,12 @@ class FrontendServer:
         pool's ``gather`` RPCs, bit-identically to a fresh compute.
         ``dirty_ranges`` defaults to everything-dirty (the
         conservative choice when the caller has no repair report).
+        ``replica_path`` is the new version's replica store; ``None``
+        keeps the current replica (docs/approx.md).
         """
         with self._publish_lock:
             version = self._version + 1
-            self.pool.publish(version, store_path, approx_path)
+            self.pool.publish(version, store_path, replica_path)
             meta = self.pool.describe()
             if int(meta["num_nodes"]) != self.num_nodes:
                 raise InvalidParameterError(
@@ -307,11 +301,7 @@ class FrontendServer:
                     f"{self.num_nodes} nodes, got {meta['num_nodes']}"
                 )
             index = PooledIndex(self.pool, meta, version)
-            approx = (
-                PooledApproxIndex(self.pool, meta, version)
-                if meta.get("has_approx")
-                else None
-            )
+            approx = self._replica_proxy(meta, version)
             published = self.service.publish_index(
                 index, dirty_ranges=dirty_ranges, approx_index=approx
             )
@@ -323,6 +313,14 @@ class FrontendServer:
                     published, version,
                 )
             return version
+
+    def _replica_proxy(self, meta, version: int) -> Optional[PooledIndex]:
+        """The degraded tier's proxy for ``version``, if it has a replica."""
+        if not meta["has_approx"]:
+            return None
+        return PooledIndex(
+            self.pool, self.pool.describe("approx"), version, tier="approx"
+        )
 
     # ------------------------------------------------------------------
     # HTTP plumbing
@@ -697,7 +695,7 @@ class FrontendServer:
                 self.publish_store,
                 store_path,
                 dirty_ranges=dirty,
-                approx_path=obj.get("approx_path"),
+                replica_path=obj.get("replica_path"),
             )
             return 200, {"index_version": version}, "application/json"
         if path == "/admin/faults":

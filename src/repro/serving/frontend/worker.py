@@ -18,6 +18,12 @@ thread.  A broken pipe mid-task means the worker died; the pool
 respawns it before surfacing :class:`~repro.errors.WorkerCrashed`, so
 the service's per-seed isolation retries land on a healthy process.
 
+A store directory may carry the degraded tier's rank-truncated replica
+at ``<store>/replica`` (:data:`~repro.sharding.store.REPLICA_DIR`,
+docs/approx.md).  Workers open it as one more ``ShardedIndex``: the
+``columns``/``topk``/``describe`` ops carry a *tier* key (``"exact"`` or
+``"approx"``) naming which store of a version they run against.
+
 Control messages ride the same pipe between tasks: ``publish`` swaps
 in a new store version for zero-downtime live updates, ``metrics``
 snapshots the worker's private :class:`~repro.obs.MetricsRegistry`
@@ -72,20 +78,17 @@ class _WorkerState:
         *,
         query_mode: Optional[str],
         validate_reads: bool,
-        approx_path: Optional[str],
-        graph,
+        replica_path: Optional[str],
     ):
         from repro.obs import MetricsRegistry
 
         self.worker_id = worker_id
         self.query_mode = query_mode
         self.validate_reads = validate_reads
-        self.graph = graph
         self.metrics = MetricsRegistry()
-        self.indexes: Dict[int, Any] = {}
-        self.approxes: Dict[int, Any] = {}
-        self.versions: Dict[int, Tuple[str, Optional[str]]] = {
-            0: (store_path, approx_path)
+        self.indexes: Dict[Tuple[int, str], Any] = {}
+        self.versions: Dict[int, Dict[str, str]] = {
+            0: _tier_paths(store_path, replica_path)
         }
         self.armed_plans: List[Any] = []
         labels = {"worker": str(worker_id)}
@@ -111,17 +114,17 @@ class _WorkerState:
         )
         self.m_versions.set(1)
 
-    def index_for(self, version: int):
-        index = self.indexes.get(version)
+    def index_for(self, version: int, tier: str = "exact"):
+        index = self.indexes.get((version, tier))
         if index is None:
             from repro.sharding import ShardedIndex
 
             try:
-                store_path, _ = self.versions[version]
+                store_path = self.versions[version][tier]
             except KeyError:
                 raise InvalidParameterError(
-                    f"worker {self.worker_id} has no store for version "
-                    f"{version} (published: {sorted(self.versions)})"
+                    f"worker {self.worker_id} has no {tier} store for "
+                    f"version {version} (published: {sorted(self.versions)})"
                 )
             index = ShardedIndex(
                 store_path,
@@ -131,35 +134,38 @@ class _WorkerState:
                 validate_reads=self.validate_reads,
                 metrics=self.metrics,
             )
-            self.indexes[version] = index
+            self.indexes[(version, tier)] = index
         return index
 
-    def approx_for(self, version: int):
-        approx = self.approxes.get(version)
-        if approx is None:
-            from repro.serving.approx import ApproxIndex
-
-            _, approx_path = self.versions.get(version, (None, None))
-            if approx_path is None or self.graph is None:
-                raise InvalidParameterError(
-                    f"worker {self.worker_id} has no approx replica for "
-                    f"version {version}"
-                )
-            approx = ApproxIndex.load(approx_path, self.graph)
-            self.approxes[version] = approx
-        return approx
+    def describe(self, tier: str) -> Dict[str, Any]:
+        version = max(self.versions)
+        index = self.index_for(version, tier)
+        return {
+            "num_nodes": int(index.num_nodes),
+            "dtype": str(np.dtype(index.dtype)),
+            "config": {
+                "damping": float(index.config.damping),
+                "rank": int(index.config.rank),
+                "epsilon": float(index.config.epsilon),
+                "query_mode": index.config.query_mode,
+            },
+            "num_shards": int(index.store.num_shards),
+            "versions": sorted(self.versions),
+            "pid": os.getpid(),
+            "has_approx": "approx" in self.versions[version],
+            "approx_atol": index.approx_atol,
+        }
 
     def publish(
-        self, version: int, store_path: str, approx_path: Optional[str]
+        self, version: int, store_path: str, replica_path: Optional[str]
     ) -> None:
-        self.versions[version] = (store_path, approx_path)
+        self.versions[version] = _tier_paths(store_path, replica_path)
         # retire everything older than the KEEP_VERSIONS newest stores
         for old in sorted(self.versions)[:-KEEP_VERSIONS]:
-            self.versions.pop(old, None)
-            retired = self.indexes.pop(old, None)
-            if retired is not None:
-                retired.close()
-            self.approxes.pop(old, None)
+            for tier in self.versions.pop(old):
+                retired = self.indexes.pop((old, tier), None)
+                if retired is not None:
+                    retired.close()
         self.m_versions.set(len(self.versions))
 
     def arm_faults(self, rules: List[Dict[str, Any]]) -> None:
@@ -193,14 +199,22 @@ class _WorkerState:
             self.armed_plans.pop().__exit__(None, None, None)
 
 
+def _tier_paths(store_path: str, replica_path: Optional[str]) -> Dict[str, str]:
+    """One version's stores by tier (a version without a replica has
+    no ``"approx"`` entry)."""
+    paths = {"exact": store_path}
+    if replica_path is not None:
+        paths["approx"] = replica_path
+    return paths
+
+
 def worker_main(
     conn,
     worker_id: int,
     store_path: str,
     query_mode: Optional[str] = None,
     validate_reads: bool = False,
-    approx_path: Optional[str] = None,
-    graph=None,
+    replica_path: Optional[str] = None,
 ) -> None:
     """Entry point of one worker process: serve tasks until shutdown.
 
@@ -216,8 +230,7 @@ def worker_main(
         store_path,
         query_mode=query_mode,
         validate_reads=validate_reads,
-        approx_path=approx_path,
-        graph=graph,
+        replica_path=replica_path,
     )
     from repro.core.topk import top_k_blockwise
 
@@ -234,30 +247,23 @@ def worker_main(
         started = time.perf_counter()
         try:
             if op == "columns":
-                _, version, seeds, mode = message
-                block = state.index_for(version).query_columns(seeds, mode=mode)
+                _, version, seeds, mode, tier = message
+                block = state.index_for(version, tier).query_columns(
+                    seeds, mode=mode
+                )
                 state.m_columns.inc(len(seeds))
                 reply = ("ok", block)
             elif op == "topk":
-                _, version, seeds, k, exclude_self, mode = message
+                _, version, seeds, k, exclude_self, mode, tier = message
                 reply = (
                     "ok",
                     top_k_blockwise(
-                        state.index_for(version),
+                        state.index_for(version, tier),
                         seeds,
                         k,
                         exclude_self=exclude_self,
                         mode=mode,
                     ),
-                )
-            elif op == "approx_columns":
-                _, version, seeds = message
-                reply = ("ok", state.approx_for(version).query_columns(seeds))
-            elif op == "approx_topk":
-                _, version, seeds, k, exclude_self = message
-                reply = (
-                    "ok",
-                    state.approx_for(version).top_k_batch(seeds, k, exclude_self),
                 )
             elif op == "gather":
                 _, version, which, rows = message
@@ -270,33 +276,10 @@ def worker_main(
                 )
                 reply = ("ok", np.asarray(gathered))
             elif op == "describe":
-                index = state.index_for(max(state.versions))
-                meta: Dict[str, Any] = {
-                    "num_nodes": int(index.num_nodes),
-                    "dtype": str(np.dtype(index.dtype)),
-                    "config": {
-                        "damping": float(index.config.damping),
-                        "rank": int(index.config.rank),
-                        "epsilon": float(index.config.epsilon),
-                        "query_mode": index.config.query_mode,
-                    },
-                    "num_shards": int(index._store.num_shards),
-                    "versions": sorted(state.versions),
-                    "pid": os.getpid(),
-                    "has_approx": state.versions[max(state.versions)][1]
-                    is not None,
-                }
-                if meta["has_approx"]:
-                    approx = state.approx_for(max(state.versions))
-                    meta["approx"] = {
-                        "num_projections": int(approx.config.num_projections),
-                        "dtype": str(np.dtype(approx.dtype)),
-                        "query_atol": float(approx.query_atol()),
-                    }
-                reply = ("ok", meta)
+                reply = ("ok", state.describe(message[1]))
             elif op == "publish":
-                _, version, new_store_path, new_approx_path = message
-                state.publish(version, new_store_path, new_approx_path)
+                _, version, new_store_path, new_replica_path = message
+                state.publish(version, new_store_path, new_replica_path)
                 reply = ("ok", sorted(state.versions))
             elif op == "metrics":
                 reply = ("ok", state.metrics.as_dict())
@@ -343,16 +326,13 @@ class WorkerPool:
     Parameters
     ----------
     store_path:
-        The ``.shards`` directory every worker opens read-only (mmap).
+        The ``.shards`` directory every worker opens read-only (mmap);
+        its ``replica/`` store, when present, backs the degraded tier.
     num_workers:
         Worker process count — the unit the ``>= 2x at 4 workers``
         benchmark contract scales over.
     query_mode:
         Forwarded to each worker's :class:`~repro.sharding.ShardedIndex`.
-    approx_path / graph:
-        Optional sketch replica (``.approx.npz``) and the graph it was
-        built for; enables the ``quality="approx"``/``"auto"`` tier in
-        workers.
     mp_context:
         A ``multiprocessing`` context; defaults to fork where
         available (workers inherit the warm import state) else spawn.
@@ -365,24 +345,22 @@ class WorkerPool:
         *,
         query_mode: Optional[str] = None,
         validate_reads: bool = False,
-        approx_path: Optional[str] = None,
-        graph=None,
         mp_context=None,
     ):
         if num_workers < 1:
             raise InvalidParameterError(
                 f"num_workers must be >= 1, got {num_workers}"
             )
-        if approx_path is not None and graph is None:
-            raise InvalidParameterError(
-                "approx_path requires the graph the replica was built for"
-            )
+        from repro.sharding.store import replica_store_path
+
         self.store_path = os.fspath(store_path)
         self.num_workers = int(num_workers)
         self.query_mode = query_mode
         self.validate_reads = validate_reads
-        self._approx_path = approx_path
-        self._graph = graph
+        #: version 0's replica store (``None``: no degraded tier) and the
+        #: newest published one
+        self._base_replica_path = replica_store_path(self.store_path)
+        self._replica_path = self._base_replica_path
         self._ctx = mp_context if mp_context is not None else _pick_context()
         self._lock = threading.Lock()
         self._free: "queue.Queue[int]" = queue.Queue()
@@ -406,8 +384,7 @@ class WorkerPool:
                 self.store_path,
                 self.query_mode,
                 self.validate_reads,
-                self._approx_path,
-                self._graph,
+                self._base_replica_path,
             ),
             daemon=True,
             name=f"csrplus-worker-{worker_id}",
@@ -417,8 +394,8 @@ class WorkerPool:
         handle = _WorkerHandle(process, parent_conn, worker_id)
         # replay published versions so a respawned worker can serve
         # every version its siblings can
-        for version, store_path, approx_path in self._published:
-            parent_conn.send(("publish", version, store_path, approx_path))
+        for version, store_path, replica_path in self._published:
+            parent_conn.send(("publish", version, store_path, replica_path))
             status, payload = parent_conn.recv()
             if status != "ok":  # pragma: no cover - deterministic replay
                 raise InvalidParameterError(
@@ -530,9 +507,12 @@ class WorkerPool:
             self._free.put(worker_id)
 
     # -- typed helpers -------------------------------------------------
-    def columns(self, version: int, seeds, mode: Optional[str] = None):
+    # ``tier`` picks the version's exact store or its replica
+    def columns(
+        self, version: int, seeds, mode: Optional[str] = None, tier: str = "exact"
+    ):
         seeds = [int(seed) for seed in seeds]
-        return self.submit("columns", version, seeds, mode)
+        return self.submit("columns", version, seeds, mode, tier)
 
     def topk(
         self,
@@ -541,24 +521,20 @@ class WorkerPool:
         k: int,
         exclude_self: bool,
         mode: Optional[str] = None,
+        tier: str = "exact",
     ):
         seeds = [int(seed) for seed in seeds]
-        return self.submit("topk", version, seeds, int(k), bool(exclude_self), mode)
-
-    def approx_columns(self, version: int, seeds):
-        return self.submit("approx_columns", version, [int(s) for s in seeds])
-
-    def approx_topk(self, version: int, seeds, k: int, exclude_self: bool):
         return self.submit(
-            "approx_topk", version, [int(s) for s in seeds], int(k),
-            bool(exclude_self),
+            "topk", version, seeds, int(k), bool(exclude_self), mode, tier
         )
 
     def gather(self, version: int, which: str, rows):
         return self.submit("gather", version, which, np.asarray(rows, np.int64))
 
-    def describe(self) -> Dict[str, Any]:
-        return self.submit("describe")
+    def describe(self, tier: str = "exact") -> Dict[str, Any]:
+        """Shape, config and ``approx_atol`` of the newest version's
+        ``tier`` store, plus ``has_approx`` (the version has a replica)."""
+        return self.submit("describe", tier)
 
     # -- broadcast control ---------------------------------------------
     def _broadcast(self, message: tuple) -> Dict[int, Any]:
@@ -586,16 +562,23 @@ class WorkerPool:
         return results
 
     def publish(
-        self, version: int, store_path: str, approx_path: Optional[str] = None
+        self, version: int, store_path: str, replica_path: Optional[str] = None
     ) -> None:
-        """Swap every worker onto a new store version (live updates)."""
+        """Swap every worker onto a new store version (live updates).
+
+        ``replica_path`` is the new version's replica store; ``None``
+        keeps the current replica, carried to the new version.
+        """
         store_path = os.fspath(store_path)
         with self._lock:
-            self._published.append((int(version), store_path, approx_path))
+            if replica_path is not None:
+                self._replica_path = os.fspath(replica_path)
+            replica_path = self._replica_path
+            self._published.append((int(version), store_path, replica_path))
             # a respawned worker only needs versions that can still be
             # pinned: the newest KEEP_VERSIONS
             self._published = self._published[-KEEP_VERSIONS:]
-        self._broadcast(("publish", int(version), store_path, approx_path))
+        self._broadcast(("publish", int(version), store_path, replica_path))
 
     def arm_faults(self, rules: List[Dict[str, Any]]) -> None:
         self._broadcast(("faults", list(rules)))

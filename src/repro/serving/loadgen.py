@@ -68,8 +68,8 @@ __all__ = [
 ]
 
 #: Terminal states a generated request can end in.  ``ok`` (exact
-#: answer) and ``approx`` (answered by the approximate tier, within its
-#: published atol — the ``quality="auto"`` degrade policy turning
+#: answer) and ``approx`` (answered by the rank-truncated replica, within
+#: its published atol — the ``quality="auto"`` degrade policy turning
 #: would-be sheds into served requests, docs/approx.md) are the good
 #: ones; ``shed`` / ``deadline`` / ``degraded`` / ``failed`` are the
 #: availability SLO's bad outcomes.  ``failed`` is the hard-failure
@@ -411,9 +411,9 @@ def _classify(error: Optional[ReproError], tier: str = "exact") -> str:
     Hard failures (:data:`_HARD_FAILURES` — corruption, compute faults)
     are ``"failed"``, never ``"degraded"``: lumping them together let
     chaos-induced corruption read as graceful degradation in
-    availability verdicts.  An errorless answer from the approximate
-    tier is ``"approx"`` — served, within its atol contract, but worth
-    telling apart from ``"ok"``.
+    availability verdicts.  An errorless answer from the rank-truncated
+    replica is ``"approx"`` — served, within its atol contract, but
+    worth telling apart from ``"ok"``.
     """
     if error is None:
         return "approx" if tier == "approx" else "ok"
@@ -451,7 +451,7 @@ def run_load(
     failures are recorded as outcomes, never raised.
 
     ``quality`` is forwarded to the service's ``quality=`` knob
-    (docs/approx.md): with ``"auto"`` and an attached approximate
+    (docs/approx.md): with ``"auto"`` and an attached rank-truncated
     replica, overload shows up as ``approx`` outcomes (served, counted
     good by the availability SLO) instead of ``shed``.  ``None``
     (default) leaves the service's default, so reports from services

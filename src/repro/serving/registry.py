@@ -133,7 +133,6 @@ class IndexRegistry:
         self._lock = threading.RLock()
         self._file_locks: Dict[str, FileLock] = {}
         self._indexes: Dict[str, CSRPlusIndex] = {}
-        self._approx: Dict[str, object] = {}  # name -> ApproxIndex
         self._sharded: Dict[str, object] = {}  # name -> ShardedIndex
         self._live: Dict[str, object] = {}  # name -> LiveIndexChain
         if metrics is None:
@@ -198,23 +197,12 @@ class IndexRegistry:
             )
         return os.path.join(self.root, f"{name}.npz")
 
-    def approx_path_for(self, name: str) -> str:
-        """The ``.approx.npz`` path backing ``name``'s sketch replica."""
-        if not _NAME_RE.match(name):
-            raise InvalidParameterError(
-                "index names must match [A-Za-z0-9][A-Za-z0-9._-]* "
-                f"(got {name!r})"
-            )
-        return os.path.join(self.root, f"{name}.approx.npz")
-
     def names(self) -> List[str]:
         """Registered names: in-memory plus on-disk, sorted."""
         with self._lock:
             known = set(self._indexes)
         for entry in os.listdir(self.root):
-            if entry.endswith(".approx.npz"):
-                known.add(entry[: -len(".approx.npz")])
-            elif entry.endswith(".npz"):
+            if entry.endswith(".npz"):
                 known.add(entry[: -len(".npz")])
         return sorted(known)
 
@@ -290,64 +278,6 @@ class IndexRegistry:
                         )
             self._indexes[name] = index
             return index
-
-    # ------------------------------------------------------------------
-    # approximate replicas (docs/approx.md)
-    # ------------------------------------------------------------------
-    def get_approx(self, name: str, graph: DiGraph, **params):
-        """A prepared :class:`~repro.serving.approx.ApproxIndex` for ``name``.
-
-        The sketch replica backing the approximate serving tier resolves
-        through the same hardened three tiers as :meth:`get` — in-process
-        table, checksum-verified ``<root>/<name>.approx.npz`` file (with
-        retries, quarantine, and automatic rebuild), then a fresh sketch
-        build from ``graph`` with ``params`` (forwarded to
-        :class:`~repro.serving.approx.ApproxIndex`, e.g.
-        ``num_projections=256``) which is saved for the next process.
-        Registered under the same ``name`` as its exact counterpart so
-        ``evict(name)`` drops both.
-        """
-        from repro.serving.approx import ApproxIndex
-
-        path = self.approx_path_for(name)
-        with self._lock:
-            approx = self._approx.get(name)
-            if approx is not None:
-                return approx
-            with self._process_lock(name):
-                if os.path.exists(path):
-                    try:
-                        approx = self.retrier.call(
-                            self._load_checked, path, graph,
-                            loader=ApproxIndex.load,
-                        )
-                    except IndexCorrupted as exc:
-                        self._m_corrupt.inc()
-                        self._m_rebuilds.inc()
-                        logger.warning(
-                            "quarantining corrupt approx replica %r and "
-                            "rebuilding: %s", path, exc,
-                        )
-                        self._quarantine(path)
-                        approx = None
-                    except OSError as exc:
-                        self._m_rebuilds.inc()
-                        logger.warning(
-                            "approx replica %r unreadable after retries, "
-                            "rebuilding: %s", path, exc,
-                        )
-                        approx = None
-                if approx is None:
-                    approx = ApproxIndex(graph, **params).prepare()
-                    try:
-                        self._save_checked(path, approx)
-                    except (OSError, RetryableError) as exc:
-                        logger.warning(
-                            "could not persist approx replica %r (serving "
-                            "from memory only): %s", path, exc,
-                        )
-            self._approx[name] = approx
-            return approx
 
     # ------------------------------------------------------------------
     # sharded stores (shard-grained integrity + repair)
@@ -580,27 +510,19 @@ class IndexRegistry:
     def evict(self, name: str, *, delete_file: bool = False) -> None:
         """Drop ``name`` from memory (and optionally from disk).
 
-        Covers the monolithic ``.npz``, the ``.approx.npz`` sketch
-        replica, and any ``.shards`` store registered under the same
-        name (a memory-tier :class:`~repro.sharding.ShardedIndex` is
-        closed on eviction).
+        Covers the monolithic ``.npz`` and any ``.shards`` store
+        registered under the same name (a memory-tier
+        :class:`~repro.sharding.ShardedIndex` is closed on eviction).
         """
         path = self.path_for(name)
-        approx_path = self.approx_path_for(name)
         with self._lock:
             self._indexes.pop(name, None)
-            self._approx.pop(name, None)
             sharded = self._sharded.pop(name, None)
             self._live.pop(name, None)
         if sharded is not None:
             sharded.close()
         if delete_file:
-            for target in (
-                path,
-                path + ".sha256",
-                approx_path,
-                approx_path + ".sha256",
-            ):
+            for target in (path, path + ".sha256"):
                 if os.path.exists(target):
                     os.remove(target)
             for directory in (
@@ -615,13 +537,10 @@ class IndexRegistry:
     # ------------------------------------------------------------------
     # hardened disk I/O
     # ------------------------------------------------------------------
-    def _load_checked(self, path: str, graph: DiGraph, loader=CSRPlusIndex.load):
+    def _load_checked(self, path: str, graph: DiGraph) -> CSRPlusIndex:
         """One load attempt: fault seam, checksum, typed structural errors.
 
-        ``loader(path, graph)`` deserialises the artifact — the exact
-        index's :meth:`~repro.core.index.CSRPlusIndex.load` by default,
-        :meth:`~repro.serving.approx.ApproxIndex.load` for sketch
-        replicas.  Raises ``OSError`` for (retryable) I/O failures,
+        Raises ``OSError`` for (retryable) I/O failures,
         :class:`~repro.errors.IndexCorrupted` for validation failures,
         and :class:`~repro.errors.InvalidParameterError` when the file
         is a healthy index for a *different* graph.
@@ -639,7 +558,7 @@ class IndexRegistry:
                     f"got {actual[:12]}...)",
                 )
         try:
-            return loader(path, graph)
+            return CSRPlusIndex.load(path, graph)
         except (InvalidParameterError, OSError):
             raise
         except Exception as exc:
@@ -647,13 +566,8 @@ class IndexRegistry:
             # archives; collapse them all into the typed taxonomy
             raise IndexCorrupted(path, f"{type(exc).__name__}: {exc}") from exc
 
-    def _save_checked(self, path: str, index) -> None:
-        """Persist ``index`` plus its checksum sidecar, with retries.
-
-        ``index`` is anything with a ``save(path)`` method — the exact
-        :class:`~repro.core.index.CSRPlusIndex` or an approximate
-        :class:`~repro.serving.approx.ApproxIndex` replica.
-        """
+    def _save_checked(self, path: str, index: CSRPlusIndex) -> None:
+        """Persist ``index`` plus its checksum sidecar, with retries."""
 
         def attempt() -> None:
             faults.fire("registry.save", path=path)

@@ -37,11 +37,11 @@ class RequestOutcome:
 
     ``tier`` records which serving tier produced the outcome:
     ``"exact"`` for the CSR+ index path (bit-exact under Theorem 3.5),
-    ``"approx"`` for the sketched replica — including requests that a
-    ``quality="auto"`` batch downgraded instead of shedding.  Approx
-    answers carry the :func:`~repro.serving.approx.approx_query_atol`
-    error contract and are never cached into the exact caches
-    (docs/approx.md).
+    ``"approx"`` for the rank-truncated replica — including requests
+    that a ``quality="auto"`` batch downgraded instead of shedding.
+    Approx answers stay within the replica's published ``approx_atol``
+    of the exact answer, entry by entry, and are never cached into the
+    exact caches (docs/approx.md).
     """
 
     result: Optional[np.ndarray] = None

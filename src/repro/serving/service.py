@@ -47,19 +47,21 @@ Every failure path counts in the service's metrics registry
 (``csrplus_serve_{retries,shed,deadline_exceeded,degraded_requests}_*``).
 
 Degradation tier (docs/approx.md): a service constructed with an
-``approx_index=`` replica (:class:`~repro.serving.approx.ApproxIndex`,
-the random-projection sketch of the same graph) gains a per-request
-``quality=`` knob on :meth:`CoSimRankService.serve_batch` /
-:meth:`CoSimRankService.serve_topk`: ``"exact"`` (default) keeps
-today's behaviour, ``"approx"`` answers straight from the sketched
-replica, and ``"auto"`` serves exactly until admission control would
-shed the batch — then *downgrades* it onto the replica instead of
-raising :class:`~repro.errors.ServiceOverloaded`.  Approximate answers
-carry ``tier="approx"`` on their outcomes, satisfy the
-:func:`~repro.serving.approx.approx_query_atol` AvgDiff contract
-against the exact tier, never enter the exact ``ColumnCache`` /
-``TopKCache``, and never charge the seed budget (the whole point is
-that the sketch is cheap enough to absorb overload).  Tier traffic is
+``approx_index=`` replica — a rank-truncated CSR+ index of the same
+SVD (:meth:`~repro.core.index.CSRPlusIndex.truncate_to_rank`, or a
+replica :class:`~repro.sharding.ShardedIndex` store) — gains a
+per-request ``quality=`` knob on :meth:`CoSimRankService.serve_batch`
+/ :meth:`CoSimRankService.serve_topk`: ``"exact"`` (default) keeps
+today's behaviour, ``"approx"`` answers straight from the replica,
+and ``"auto"`` serves exactly until admission control would shed the
+batch — then *downgrades* it onto the replica instead of raising
+:class:`~repro.errors.ServiceOverloaded`.  Both tiers run the same
+pipeline (chunking, isolation retries, deadlines, blockwise top-k);
+replica batches skip only the seed budget and the exact
+``ColumnCache`` / ``TopKCache``.  Replica answers carry
+``tier="approx"`` on their outcomes and stay within the replica's
+published ``approx_atol`` of the exact answer, entry by entry
+(:func:`~repro.core.index.truncation_atol`).  Tier traffic is
 accounted exactly once in ``csrplus_serve_tier_{exact,approx}_total``.
 
 Observability (docs/observability.md): every batch emits a
@@ -121,8 +123,8 @@ PHASES = ("coalesce", "lookup", "compute", "assemble")
 
 #: Per-request quality knob: ``"exact"`` serves only from the exact
 #: index (over budget -> shed), ``"approx"`` serves only from the
-#: sketched replica, ``"auto"`` serves exactly but downgrades a batch
-#: the budget would shed onto the replica (docs/approx.md).
+#: rank-truncated replica, ``"auto"`` serves exactly but downgrades a
+#: batch the budget would shed onto the replica (docs/approx.md).
 QUALITY_LEVELS = ("exact", "approx", "auto")
 
 
@@ -180,11 +182,14 @@ class CoSimRankService:
         downgraded onto the approximate tier instead.
         ``None`` (default) disables admission control.
     approx_index:
-        Optional :class:`~repro.serving.approx.ApproxIndex` replica
-        over the same graph, enabling ``quality="approx"`` /
-        ``"auto"`` (docs/approx.md).  Prepared if needed; must match
-        the exact index's ``num_nodes``.  Approximate answers never
-        enter the exact caches and never charge the seed budget.
+        Optional replica backend over the same graph — typically
+        ``index.truncate_to_rank(replica_rank(index.rank))`` or a
+        replica :class:`~repro.sharding.ShardedIndex` — enabling
+        ``quality="approx"`` / ``"auto"`` (docs/approx.md).  Prepared
+        if needed; must match the exact index's ``num_nodes``.  Its
+        ``approx_atol`` is published on ``csrplus_approx_atol``.
+        Replica answers never enter the exact caches and never charge
+        the seed budget.
     cache_validate:
         Fingerprint cached columns and re-verify on every hit; a
         corrupted entry is evicted and recomputed instead of served
@@ -477,7 +482,7 @@ class CoSimRankService:
         )
         self._m_tier_approx = reg.counter(
             "csrplus_serve_tier_approx_total",
-            "Requests answered by the approximate (sketched) tier",
+            "Requests answered by the approximate (replica) tier",
         )
         self._m_approx_batches = reg.counter(
             "csrplus_approx_batches_total",
@@ -490,7 +495,7 @@ class CoSimRankService:
         )
         self._m_approx_seeds = reg.counter(
             "csrplus_approx_seeds_total",
-            "Distinct sketch columns evaluated by the approximate tier",
+            "Distinct replica columns evaluated by the approximate tier",
         )
         self._m_approx_index_version = reg.gauge(
             "csrplus_approx_index_version",
@@ -498,16 +503,20 @@ class CoSimRankService:
         )
         self._m_approx_atol = reg.gauge(
             "csrplus_approx_atol",
-            "Published AvgDiff error contract of the attached replica "
-            "(approx_query_atol)",
+            "Published per-entry error bound of the attached replica "
+            "against the exact tier (truncation_atol)",
         )
-        if approx_index is not None:
-            self._m_approx_atol.set(approx_index.query_atol())
+        self._publish_approx_atol(approx_index)
         self._m_budget_underflow = reg.counter(
             "csrplus_serve_budget_underflow_total",
             "SeedBudget.release calls exceeding what was acquired "
             "(double-release accounting bugs, surfaced not swallowed)",
         )
+
+    def _publish_approx_atol(self, replica) -> None:
+        bound = getattr(replica, "approx_atol", None)
+        if bound is not None:
+            self._m_approx_atol.set(bound)
 
     def _on_budget_underflow(self, deficit: int) -> None:
         """Wired into :class:`SeedBudget`; counts unmatched releases."""
@@ -553,8 +562,8 @@ class CoSimRankService:
         quality:
             One of :data:`QUALITY_LEVELS`.  ``"exact"`` (default)
             serves from the exact index only; ``"approx"`` answers
-            from the sketched replica (within the
-            :func:`~repro.serving.approx.approx_query_atol` contract);
+            from the rank-truncated replica (within its published
+            ``approx_atol`` of the exact answer, per entry);
             ``"auto"`` serves exactly unless admission control would
             shed the batch, in which case it is downgraded onto the
             replica instead of raising.  Requires an ``approx_index``
@@ -593,41 +602,12 @@ class CoSimRankService:
         ``"approx"``, see the ``quality`` parameter on
         :meth:`serve_batch`).
         """
-        if deadline_s is not None and deadline_s <= 0:
-            raise InvalidParameterError(
-                f"deadline_s must be > 0 (or None), got {deadline_s}"
-            )
-        if quality not in QUALITY_LEVELS:
-            raise InvalidParameterError(
-                f"quality must be one of {QUALITY_LEVELS}, got {quality!r}"
-            )
+        self._check_request(deadline_s, quality)
         started = self._clock()
         deadline_at = started + deadline_s if deadline_s is not None else None
         batch_id = f"batch-{next(self._batch_seq)}"
         request_ids = [f"{batch_id}.{i}" for i in range(len(requests))]
-        # pin (index, version) for the whole batch: a publish_index
-        # racing with this batch never mixes versions inside one answer
-        with self._swap_lock:
-            index = self.index
-            version = self._index_version
-            approx_index = self._approx_index
-            approx_version = self._approx_version
-        if quality == "approx" and approx_index is None:
-            raise InvalidParameterError(
-                'quality="approx" requires an approx_index replica '
-                "(pass approx_index= to the service constructor)"
-            )
-        if quality == "approx":
-            return self._serve_batch_approx(
-                requests,
-                batch_id=batch_id,
-                request_ids=request_ids,
-                started=started,
-                deadline_s=deadline_s,
-                index=approx_index,
-                version=approx_version,
-                downgraded=False,
-            )
+        index, version, replica = self._pin(quality)
         tracer = self._tracer
         with tracer.span("serve.batch", batch_id=batch_id) as batch_span:
             with tracer.span("serve.coalesce") as coalesce_span:
@@ -637,35 +617,17 @@ class CoSimRankService:
             batch_span.set_attribute("query_mode", self.query_mode)
             batch_span.set_attribute("index_version", version)
             batch_span.set_attribute("request_ids", list(request_ids))
-
-            n_seeds = int(plan.unique_seeds.size)
-            if not self._budget.try_acquire(n_seeds):
-                if quality == "auto" and approx_index is not None:
-                    # the degrade policy: answer from the sketched
-                    # replica instead of shedding (docs/approx.md)
-                    with self._stats_lock:
-                        self._m_approx_downgrades.inc()
-                    return self._serve_batch_approx(
-                        requests,
-                        batch_id=batch_id,
-                        request_ids=request_ids,
-                        started=started,
-                        deadline_s=deadline_s,
-                        index=approx_index,
-                        version=approx_version,
-                        downgraded=True,
-                        plan=plan,
-                    )
-                with self._stats_lock:
-                    self._m_shed.inc()
-                assert self._budget.max_inflight is not None
-                raise ServiceOverloaded(
-                    n_seeds, self._budget.in_flight, self._budget.max_inflight
-                )
+            tier, charged = self._admit(quality, int(plan.unique_seeds.size), replica)
+            batch_span.set_attribute("tier", tier)
+            exact = tier == "exact"
+            backend = index if exact else replica
             try:
                 with tracer.span("serve.lookup") as lookup_span:
-                    hit_columns, missing = self._cache.lookup(
-                        plan.unique_seeds, version=version
+                    # replica columns never touch the exact cache
+                    hit_columns, missing = (
+                        self._cache.lookup(plan.unique_seeds, version=version)
+                        if exact
+                        else ({}, plan.unique_seeds.tolist())
                     )
                 # captured now: assembly below merges fresh columns into
                 # the same dict, which would inflate the hit count
@@ -677,29 +639,37 @@ class CoSimRankService:
                     query_mode=self.query_mode,
                 ) as compute_span:
                     fresh, failures, cancelled, retries = self._compute_missing(
-                        missing, compute_span, deadline_at, index
+                        missing,
+                        self._columns_of(backend),
+                        "serve.compute",
+                        compute_span,
+                        deadline_at,
                     )
-                    evicted = self._cache.insert(fresh, version=version)
+                    evicted = (
+                        self._cache.insert(fresh, version=version) if exact else 0
+                    )
 
                 with tracer.span("serve.assemble") as assemble_span:
                     column_map = hit_columns
                     column_map.update(fresh)
                     outcomes = self._assemble_outcomes(
-                        plan,
+                        [[int(seed) for seed in ids] for ids in plan.request_ids],
                         column_map,
                         failures,
                         cancelled,
+                        lambda seeds: self._assemble(seeds, column_map, backend),
                         deadline_s=deadline_s,
                         started=started,
                         request_ids=request_ids,
-                        index=index,
+                        tier=tier,
                     )
             finally:
-                self._budget.release(n_seeds)
+                self._budget.release(charged)
 
         num_failed = sum(1 for outcome in outcomes if not outcome.ok)
         self._record_batch(
             plan,
+            tier=tier,
             hits=num_hits,
             misses=len(missing),
             evicted=evicted,
@@ -725,215 +695,54 @@ class CoSimRankService:
         )
 
     # ------------------------------------------------------------------
-    # approximate tier (docs/approx.md)
+    # tier selection (docs/approx.md)
     # ------------------------------------------------------------------
-    def _serve_batch_approx(
-        self,
-        requests: Sequence[QueryLike],
-        *,
-        batch_id: str,
-        request_ids: List[str],
-        started: float,
-        deadline_s: Optional[float],
-        index,
-        version: int,
-        downgraded: bool,
-        plan=None,
-    ) -> BatchResult:
-        """Answer a whole batch from the sketched replica.
-
-        No budget charge (the sketch is the overload absorber), no
-        exact-cache interaction (approximate columns must never be
-        replayed as exact answers), outcomes tagged ``tier="approx"``.
-        ``plan`` is passed when the auto-downgrade path already
-        coalesced the batch.
-        """
-        tracer = self._tracer
-        deadline_at = started + deadline_s if deadline_s is not None else None
-        with tracer.span(
-            "serve.approx",
-            batch_id=batch_id,
-            downgraded=downgraded,
-            index_version=version,
-            num_projections=int(index.config.num_projections),
-        ) as approx_span:
-            if plan is None:
-                with tracer.span("serve.coalesce"):
-                    plan = plan_batch(requests, index.num_nodes)
-            approx_span.set_attribute("requests", plan.num_requests)
-            approx_span.set_attribute(
-                "unique_seeds", int(plan.unique_seeds.size)
+    def _check_request(self, deadline_s: Optional[float], quality: str) -> None:
+        if deadline_s is not None and deadline_s <= 0:
+            raise InvalidParameterError(
+                f"deadline_s must be > 0 (or None), got {deadline_s}"
             )
-            approx_span.set_attribute("request_ids", list(request_ids))
-            outcomes: List[RequestOutcome] = []
-            deadline_hit = False
-            failures: Dict[int, ReproError] = {}
-            if deadline_at is not None and self._clock() >= deadline_at:
-                # the replica's answer is one GEMM — either the whole
-                # batch makes the deadline or none of it does
-                deadline_hit = True
-                for request_id in request_ids:
-                    outcomes.append(
-                        RequestOutcome(
-                            error=DeadlineExceeded(
-                                deadline_s if deadline_s is not None else 0.0,
-                                self._clock() - started,
-                                completed_seeds=0,
-                                cancelled_seeds=int(plan.unique_seeds.size),
-                            ),
-                            request_id=request_id,
-                            tier="approx",
-                        )
-                    )
-            else:
-                try:
-                    block = index.query_columns(plan.unique_seeds)
-                    column_map = {
-                        int(seed): block[:, j]
-                        for j, seed in enumerate(plan.unique_seeds)
-                    }
-                except Exception as exc:
-                    for position, ids in enumerate(plan.request_ids):
-                        seed = int(ids[0]) if ids.size else -1
-                        error = ColumnComputeFailed(
-                            seed, str(exc) or type(exc).__name__
-                        )
-                        error.__cause__ = exc
-                        failures[seed] = error
-                        outcomes.append(
-                            RequestOutcome(
-                                error=error,
-                                request_id=request_ids[position],
-                                tier="approx",
-                            )
-                        )
-                else:
-                    for position, ids in enumerate(plan.request_ids):
-                        out = np.empty(
-                            (index.num_nodes, ids.size),
-                            dtype=index.dtype,
-                            order="F",
-                        )
-                        for j, seed in enumerate(ids):
-                            out[:, j] = column_map[int(seed)]
-                        outcomes.append(
-                            RequestOutcome(
-                                result=out,
-                                request_id=request_ids[position],
-                                tier="approx",
-                            )
-                        )
-        num_failed = sum(1 for outcome in outcomes if not outcome.ok)
-        with self._stats_lock:
-            self._m_batches.inc()
-            self._m_requests.inc(plan.num_requests)
-            self._m_tier_approx.inc(plan.num_requests)
-            self._m_seeds.inc(plan.seeds_requested)
-            self._m_approx_batches.inc()
-            self._m_approx_seeds.inc(int(plan.unique_seeds.size))
-            self._m_degraded.inc(num_failed)
-            if deadline_hit:
-                self._m_deadline.inc()
-            if approx_span is not obs.NULL_SPAN:
-                self._m_batch_seconds.observe(approx_span.wall_seconds)
-                self.latency_window.observe(approx_span.wall_seconds)
-        return BatchResult(
-            outcomes=outcomes,
-            failed_seeds=failures,
-            batch_id=batch_id,
-        )
+        if quality not in QUALITY_LEVELS:
+            raise InvalidParameterError(
+                f"quality must be one of {QUALITY_LEVELS}, got {quality!r}"
+            )
 
-    def _serve_topk_approx(
-        self,
-        seed_ids: np.ndarray,
-        k: int,
-        exclude_self: bool,
-        *,
-        batch_id: str,
-        request_ids: List[str],
-        started: float,
-        deadline_s: Optional[float],
-        index,
-        version: int,
-        downgraded: bool,
-    ) -> BatchResult:
-        """Rank the replica's estimated columns for a top-k batch.
+    def _pin(self, quality: str):
+        """``(index, version, replica)`` for one whole batch.
 
-        Mirrors :meth:`_serve_batch_approx`: no budget charge, no
-        ``TopKCache`` interaction, ``tier="approx"`` outcomes.
+        Pinned under ``_swap_lock``: a ``publish_index`` racing with the
+        batch never mixes versions inside one answer.
         """
-        tracer = self._tracer
-        deadline_at = started + deadline_s if deadline_s is not None else None
-        with tracer.span(
-            "serve.approx",
-            batch_id=batch_id,
-            downgraded=downgraded,
-            index_version=version,
-            num_projections=int(index.config.num_projections),
-            k=int(k),
-        ) as approx_span:
-            unique = np.unique(seed_ids)
-            approx_span.set_attribute("requests", int(seed_ids.size))
-            approx_span.set_attribute("unique_seeds", int(unique.size))
-            outcomes: List[RequestOutcome] = []
-            deadline_hit = False
-            failures: Dict[int, ReproError] = {}
-            if deadline_at is not None and self._clock() >= deadline_at:
-                deadline_hit = True
-                for request_id in request_ids:
-                    outcomes.append(
-                        RequestOutcome(
-                            error=DeadlineExceeded(
-                                deadline_s if deadline_s is not None else 0.0,
-                                self._clock() - started,
-                                completed_seeds=0,
-                                cancelled_seeds=int(unique.size),
-                            ),
-                            request_id=request_id,
-                            tier="approx",
-                        )
-                    )
-            else:
-                try:
-                    results = index.top_k_batch(unique, k, exclude_self)
-                    result_map = dict(zip((int(s) for s in unique), results))
-                except Exception as exc:
-                    for position, seed in enumerate(seed_ids):
-                        error = ColumnComputeFailed(
-                            int(seed), str(exc) or type(exc).__name__
-                        )
-                        error.__cause__ = exc
-                        failures[int(seed)] = error
-                        outcomes.append(
-                            RequestOutcome(
-                                error=error,
-                                request_id=request_ids[position],
-                                tier="approx",
-                            )
-                        )
-                else:
-                    for position, seed in enumerate(seed_ids):
-                        outcomes.append(
-                            RequestOutcome(
-                                result=result_map[int(seed)],
-                                request_id=request_ids[position],
-                                tier="approx",
-                            )
-                        )
-        num_failed = sum(1 for outcome in outcomes if not outcome.ok)
+        with self._swap_lock:
+            pinned = (self.index, self._index_version, self._approx_index)
+        if quality == "approx" and pinned[2] is None:
+            raise InvalidParameterError(
+                'quality="approx" requires an approx_index replica '
+                "(pass approx_index= to the service constructor)"
+            )
+        return pinned
+
+    def _admit(self, quality: str, num_seeds: int, replica) -> Tuple[str, int]:
+        """Pick a batch's tier: ``(tier, seeds charged to the budget)``.
+
+        ``"approx"`` goes straight to the replica; otherwise the batch
+        charges the seed budget, and one the budget would shed is
+        downgraded onto the replica under ``"auto"`` (when one is
+        attached) or shed.  Replica batches never charge the budget.
+        """
+        if quality == "approx":
+            return "approx", 0
+        if self._budget.try_acquire(num_seeds):
+            return "exact", num_seeds
+        if quality == "auto" and replica is not None:
+            with self._stats_lock:
+                self._m_approx_downgrades.inc()
+            return "approx", 0
         with self._stats_lock:
-            self._m_topk_batches.inc()
-            self._m_topk_seeds.inc(int(seed_ids.size))
-            self._m_tier_approx.inc(int(seed_ids.size))
-            self._m_approx_batches.inc()
-            self._m_approx_seeds.inc(int(np.unique(seed_ids).size))
-            self._m_topk_degraded.inc(num_failed)
-            if deadline_hit:
-                self._m_topk_deadline.inc()
-        return BatchResult(
-            outcomes=outcomes,
-            failed_seeds=failures,
-            batch_id=batch_id,
+            self._m_shed.inc()
+        assert self._budget.max_inflight is not None
+        raise ServiceOverloaded(
+            num_seeds, self._budget.in_flight, self._budget.max_inflight
         )
 
     # ------------------------------------------------------------------
@@ -972,9 +781,9 @@ class CoSimRankService:
         per-seed typed errors.
 
         ``quality`` works as in :meth:`serve_batch`: ``"approx"``
-        ranks the sketched replica's estimated columns (full scan, the
-        canonical tie order), ``"auto"`` downgrades to that instead of
-        shedding.  Approximate rankings never enter the
+        ranks with the same blockwise kernel over the rank-truncated
+        replica, ``"auto"`` downgrades to that instead of shedding.
+        Replica rankings never enter the
         :class:`~repro.serving.cache.TopKCache`.
         """
         detailed = self.serve_topk_detailed(
@@ -1004,38 +813,13 @@ class CoSimRankService:
         """
         if k < 1:
             raise InvalidParameterError(f"k must be >= 1, got {k}")
-        if deadline_s is not None and deadline_s <= 0:
-            raise InvalidParameterError(
-                f"deadline_s must be > 0 (or None), got {deadline_s}"
-            )
-        if quality not in QUALITY_LEVELS:
-            raise InvalidParameterError(
-                f"quality must be one of {QUALITY_LEVELS}, got {quality!r}"
-            )
+        self._check_request(deadline_s, quality)
         started = self._clock()
         deadline_at = started + deadline_s if deadline_s is not None else None
-        # pin (index, version) for the whole batch (see serve_batch_detailed)
-        with self._swap_lock:
-            index = self.index
-            version = self._index_version
-            approx_index = self._approx_index
-            approx_version = self._approx_version
-        if quality == "approx" and approx_index is None:
-            raise InvalidParameterError(
-                'quality="approx" requires an approx_index replica '
-                "(pass approx_index= to the service constructor)"
-            )
+        index, version, replica = self._pin(quality)
         seed_ids = normalize_queries(seeds, index.num_nodes)
         batch_id = f"topk-{next(self._batch_seq)}"
         request_ids = [f"{batch_id}.{i}" for i in range(int(seed_ids.size))]
-        if quality == "approx":
-            return self._serve_topk_approx(
-                seed_ids, int(k), exclude_self,
-                batch_id=batch_id, request_ids=request_ids,
-                started=started, deadline_s=deadline_s,
-                index=approx_index, version=approx_version,
-                downgraded=False,
-            )
         tracer = self._tracer
         with tracer.span(
             "serve.topk",
@@ -1046,29 +830,19 @@ class CoSimRankService:
             batch_id=batch_id,
             index_version=version,
             request_ids=list(request_ids),
-        ):
+        ) as topk_span:
             unique = np.unique(seed_ids)
-            n_seeds = int(unique.size)
-            if not self._budget.try_acquire(n_seeds):
-                if quality == "auto" and approx_index is not None:
-                    with self._stats_lock:
-                        self._m_approx_downgrades.inc()
-                    return self._serve_topk_approx(
-                        seed_ids, int(k), exclude_self,
-                        batch_id=batch_id, request_ids=request_ids,
-                        started=started, deadline_s=deadline_s,
-                        index=approx_index, version=approx_version,
-                        downgraded=True,
-                    )
-                with self._stats_lock:
-                    self._m_shed.inc()
-                assert self._budget.max_inflight is not None
-                raise ServiceOverloaded(
-                    n_seeds, self._budget.in_flight, self._budget.max_inflight
-                )
+            tier, charged = self._admit(quality, int(unique.size), replica)
+            topk_span.set_attribute("tier", tier)
+            exact = tier == "exact"
             try:
-                hit_results, missing = self._topk_cache.lookup(
-                    unique, int(k), exclude_self, version=version
+                # replica rankings never touch the exact top-k cache
+                hit_results, missing = (
+                    self._topk_cache.lookup(
+                        unique, int(k), exclude_self, version=version
+                    )
+                    if exact
+                    else ({}, unique.tolist())
                 )
                 num_hits = len(hit_results)
                 with tracer.span(
@@ -1076,58 +850,50 @@ class CoSimRankService:
                     misses=len(missing),
                     query_mode=self.query_mode,
                 ) as compute_span:
-                    fresh, failures, cancelled, retries = (
-                        self._compute_topk_missing(
-                            missing, int(k), exclude_self,
-                            compute_span, deadline_at, index,
-                        )
+                    fresh, failures, cancelled, retries = self._compute_missing(
+                        missing,
+                        self._rankings_of(
+                            index if exact else replica, int(k), exclude_self
+                        ),
+                        "serve.topk",
+                        compute_span,
+                        deadline_at,
                     )
-                    evicted = self._topk_cache.insert(
-                        fresh, int(k), exclude_self, version=version
+                    evicted = (
+                        self._topk_cache.insert(
+                            fresh, int(k), exclude_self, version=version
+                        )
+                        if exact
+                        else 0
                     )
                 result_map = dict(hit_results)
                 result_map.update(fresh)
-                cancelled_set = set(cancelled)
-                outcomes: List[RequestOutcome] = []
-                for position, seed in enumerate(seed_ids):
-                    seed = int(seed)
-                    request_id = request_ids[position]
-                    if seed in result_map:
-                        outcomes.append(
-                            RequestOutcome(
-                                result=result_map[seed],
-                                request_id=request_id,
-                            )
-                        )
-                    elif seed in cancelled_set:
-                        outcomes.append(
-                            RequestOutcome(
-                                error=DeadlineExceeded(
-                                    deadline_s if deadline_s is not None
-                                    else 0.0,
-                                    self._clock() - started,
-                                    completed_seeds=len(result_map),
-                                    cancelled_seeds=len(cancelled_set),
-                                ),
-                                request_id=request_id,
-                            )
-                        )
-                    else:
-                        outcomes.append(
-                            RequestOutcome(
-                                error=failures[seed], request_id=request_id
-                            )
-                        )
+                outcomes = self._assemble_outcomes(
+                    [[int(seed)] for seed in seed_ids],
+                    result_map,
+                    failures,
+                    cancelled,
+                    lambda seeds: result_map[seeds[0]],
+                    deadline_s=deadline_s,
+                    started=started,
+                    request_ids=request_ids,
+                    tier=tier,
+                )
             finally:
-                self._budget.release(n_seeds)
+                self._budget.release(charged)
 
         with self._stats_lock:
             self._m_topk_batches.inc()
             self._m_topk_seeds.inc(int(seed_ids.size))
-            self._m_tier_exact.inc(int(seed_ids.size))
-            self._m_topk_hits.inc(num_hits)
-            self._m_topk_misses.inc(len(missing))
-            self._m_topk_evictions.inc(evicted)
+            if exact:
+                self._m_tier_exact.inc(int(seed_ids.size))
+                self._m_topk_hits.inc(num_hits)
+                self._m_topk_misses.inc(len(missing))
+                self._m_topk_evictions.inc(evicted)
+            else:
+                self._m_tier_approx.inc(int(seed_ids.size))
+                self._m_approx_batches.inc()
+                self._m_approx_seeds.inc(int(unique.size))
             self._m_topk_retries.inc(retries)
             self._m_topk_degraded.inc(
                 sum(1 for outcome in outcomes if not outcome.ok)
@@ -1149,152 +915,36 @@ class CoSimRankService:
             batch_id=batch_id,
         )
 
-    def _compute_topk_missing(
-        self,
-        missing: List[int],
-        k: int,
-        exclude_self: bool,
-        parent_span: Optional[Span],
-        deadline_at: Optional[float],
-        index=None,
-    ) -> Tuple[Dict[int, TopKResult], Dict[int, ReproError], List[int], int]:
-        """Blockwise-scan missing seeds with isolation and cancellation.
-
-        The same degradation ladder as :meth:`_compute_missing`: chunks
-        run (possibly in parallel), a failed chunk is retried seed by
-        seed in exact mode, and seeds that miss the deadline are
-        cancelled rather than computed late.
-        """
-        results: Dict[int, TopKResult] = {}
-        failures: Dict[int, ReproError] = {}
-        cancelled: List[int] = []
-        retries = 0
-        if not missing:
-            return results, failures, cancelled, retries
-        if index is None:
-            index = self.index
-        chunks = chunk_seeds(missing, self.chunk_size)
-
-        def run_chunk(chunk):
-            if deadline_at is not None and self._clock() >= deadline_at:
-                return ("cancelled", None)
-            with self._tracer.span(
-                "serve.topk.chunk", parent=parent_span, seeds=len(chunk)
-            ) as chunk_span:
-                try:
-                    faults.fire(
-                        "compute.chunk", seeds=[int(s) for s in chunk]
-                    )
-                    # backends that rank remotely (a PooledIndex fans
-                    # the chunk to a worker process, keeping the
-                    # blockwise scan next to the shard bytes) expose
-                    # top_k_chunk; everything else runs the kernel here
-                    if hasattr(index, "top_k_chunk"):
-                        return (
-                            "ok",
-                            index.top_k_chunk(
-                                chunk,
-                                k,
-                                exclude_self=exclude_self,
-                                mode=self.query_mode,
-                            ),
-                        )
-                    return (
-                        "ok",
-                        top_k_blockwise(
-                            index,
-                            chunk,
-                            k,
-                            exclude_self=exclude_self,
-                            mode=self.query_mode,
-                            tracer=self._tracer,
-                            parent_span=chunk_span,
-                        ),
-                    )
-                except Exception as exc:  # isolated below, per seed
-                    return ("error", exc)
-
-        if self.max_workers == 1 or len(chunks) == 1:
-            outcomes = [run_chunk(chunk) for chunk in chunks]
-        else:
-            outcomes = list(self._get_executor().map(run_chunk, chunks))
-
-        failed_chunks = []
-        for chunk, (status, payload) in zip(chunks, outcomes):
-            if status == "ok":
-                for seed, result in zip(chunk, payload):
-                    results[int(seed)] = result
-            elif status == "cancelled":
-                cancelled.extend(int(seed) for seed in chunk)
-            else:
-                failed_chunks.append((chunk, payload))
-
-        for chunk, _chunk_exc in failed_chunks:
-            for seed in chunk:
-                seed = int(seed)
-                if deadline_at is not None and self._clock() >= deadline_at:
-                    cancelled.append(seed)
-                    continue
-                retries += 1
-                with self._tracer.span(
-                    "serve.topk.retry", parent=parent_span, seed=seed
-                ) as retry_span:
-                    try:
-                        faults.fire("compute.chunk", seeds=[seed])
-                        # isolation retries are single-seed; exact mode
-                        # makes the retried ranking canonical, exactly
-                        # as column retries do
-                        if hasattr(index, "top_k_chunk"):
-                            results[seed] = index.top_k_chunk(
-                                [seed],
-                                k,
-                                exclude_self=exclude_self,
-                                mode="exact",
-                            )[0]
-                        else:
-                            results[seed] = top_k_blockwise(
-                                index,
-                                [seed],
-                                k,
-                                exclude_self=exclude_self,
-                                mode="exact",
-                                tracer=self._tracer,
-                                parent_span=retry_span,
-                            )[0]
-                    except Exception as exc:
-                        error = ColumnComputeFailed(
-                            seed, str(exc) or type(exc).__name__
-                        )
-                        error.__cause__ = exc
-                        failures[seed] = error
-        return results, failures, cancelled, retries
-
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
     def _compute_missing(
         self,
         missing: List[int],
+        evaluate: Callable[[List[int], str, Span], list],
+        span_name: str,
         parent_span: Optional[Span],
         deadline_at: Optional[float],
-        index=None,
-    ) -> Tuple[Dict[int, np.ndarray], Dict[int, ReproError], List[int], int]:
-        """Evaluate missing columns with isolation and cancellation.
+    ) -> Tuple[Dict[int, object], Dict[int, ReproError], List[int], int]:
+        """Answer missing seeds with isolation and cancellation.
 
-        ``index`` is the batch-pinned index (defaults to the currently
-        published one).  Returns ``(columns, failures, cancelled,
-        retries)``: computed columns, per-seed typed errors for seeds
-        that failed even in isolation, seeds cancelled by the deadline,
-        and the number of isolation retries attempted.
+        ``evaluate(seeds, mode, span)`` returns one answer per seed, in
+        order — a column or a ranking from the batch-pinned backend.
+        Chunks run (possibly in parallel) under ``<span_name>.chunk``
+        spans; a failed chunk is retried seed by seed in exact mode
+        (``<span_name>.retry``), and seeds that miss the deadline are
+        cancelled rather than computed late.  Returns ``(answers,
+        failures, cancelled, retries)``: per-seed answers, per-seed
+        typed errors for seeds that failed even in isolation, seeds
+        cancelled by the deadline, and the number of isolation retries
+        attempted.
         """
-        columns: Dict[int, np.ndarray] = {}
+        answers: Dict[int, object] = {}
         failures: Dict[int, ReproError] = {}
         cancelled: List[int] = []
         retries = 0
         if not missing:
-            return columns, failures, cancelled, retries
-        if index is None:
-            index = self.index
+            return answers, failures, cancelled, retries
         chunks = chunk_seeds(missing, self.chunk_size)
 
         def run_chunk(chunk):
@@ -1306,16 +956,13 @@ class CoSimRankService:
             # own, so the chunk spans nest under this batch's compute
             # span instead of becoming disconnected roots.
             with self._tracer.span(
-                "serve.compute.chunk", parent=parent_span, seeds=len(chunk)
-            ):
+                f"{span_name}.chunk", parent=parent_span, seeds=len(chunk)
+            ) as chunk_span:
                 try:
                     faults.fire(
                         "compute.chunk", seeds=[int(s) for s in chunk]
                     )
-                    return (
-                        "ok",
-                        index.query_columns(chunk, mode=self.query_mode),
-                    )
+                    return ("ok", evaluate(chunk, self.query_mode, chunk_span))
                 except Exception as exc:  # isolated below, per seed
                     return ("error", exc)
 
@@ -1327,19 +974,15 @@ class CoSimRankService:
         failed_chunks = []
         for chunk, (status, payload) in zip(chunks, outcomes):
             if status == "ok":
-                for j, seed in enumerate(chunk):
-                    # copy: a column view would pin the whole chunk block
-                    # in memory for as long as the cache retains any one
-                    # column
-                    columns[int(seed)] = payload[:, j].copy()
+                answers.update(zip((int(seed) for seed in chunk), payload))
             elif status == "cancelled":
                 cancelled.extend(int(seed) for seed in chunk)
             else:
-                failed_chunks.append((chunk, payload))
+                failed_chunks.append(chunk)
 
         # graceful degradation: a failed chunk is retried seed by seed,
         # so one poisonous seed cannot take its chunk-mates down with it
-        for chunk, _chunk_exc in failed_chunks:
+        for chunk in failed_chunks:
             for seed in chunk:
                 seed = int(seed)
                 if deadline_at is not None and self._clock() >= deadline_at:
@@ -1347,93 +990,113 @@ class CoSimRankService:
                     continue
                 retries += 1
                 with self._tracer.span(
-                    "serve.compute.retry", parent=parent_span, seed=seed
-                ):
+                    f"{span_name}.retry", parent=parent_span, seed=seed
+                ) as retry_span:
                     try:
                         faults.fire("compute.chunk", seeds=[seed])
                         # isolation retries are single-seed, where the
                         # batched GEMM degenerates to the exact GEMV —
-                        # use exact so a retried column is canonical
-                        columns[seed] = index.query_columns(
-                            [seed], mode="exact"
-                        )[:, 0].copy()
+                        # use exact so a retried answer is canonical
+                        answers[seed] = evaluate([seed], "exact", retry_span)[0]
                     except Exception as exc:
                         error = ColumnComputeFailed(
                             seed, str(exc) or type(exc).__name__
                         )
                         error.__cause__ = exc
                         failures[seed] = error
-        return columns, failures, cancelled, retries
+        return answers, failures, cancelled, retries
+
+    @staticmethod
+    def _columns_of(index) -> Callable[[List[int], str, Span], list]:
+        """:meth:`_compute_missing`'s ``evaluate`` for similarity columns."""
+
+        def evaluate(seeds, mode, _span):
+            block = index.query_columns(seeds, mode=mode)
+            # copy: a column view would pin the whole chunk block in
+            # memory for as long as the cache retains any one column
+            return [block[:, j].copy() for j in range(len(seeds))]
+
+        return evaluate
+
+    def _rankings_of(
+        self, index, k: int, exclude_self: bool
+    ) -> Callable[[List[int], str, Span], list]:
+        """:meth:`_compute_missing`'s ``evaluate`` for top-k rankings."""
+
+        def evaluate(seeds, mode, span):
+            # backends that rank remotely (a PooledIndex fans the chunk
+            # to a worker process, keeping the blockwise scan next to
+            # the shard bytes) expose top_k_chunk; everything else runs
+            # the kernel here
+            if hasattr(index, "top_k_chunk"):
+                return index.top_k_chunk(
+                    seeds, k, exclude_self=exclude_self, mode=mode
+                )
+            return top_k_blockwise(
+                index,
+                seeds,
+                k,
+                exclude_self=exclude_self,
+                mode=mode,
+                tracer=self._tracer,
+                parent_span=span,
+            )
+
+        return evaluate
 
     def _assemble_outcomes(
         self,
-        plan,
-        column_map: Dict[int, np.ndarray],
+        needs: List[List[int]],
+        answers: Dict[int, object],
         failures: Dict[int, ReproError],
         cancelled: List[int],
+        build: Callable[[List[int]], object],
         *,
         deadline_s: Optional[float],
         started: float,
-        request_ids: Optional[List[str]] = None,
-        index: Optional[object] = None,
+        request_ids: List[str],
+        tier: str,
     ) -> List[RequestOutcome]:
-        """One outcome per request: a block, or the typed reason why not."""
-        if index is None:
-            index = self.index
+        """One outcome per request — ``build`` over the answers for the
+        seeds it ``needs``, or the typed reason why not."""
         cancelled_set = set(cancelled)
         outcomes: List[RequestOutcome] = []
-        for position, ids in enumerate(plan.request_ids):
-            request_id = request_ids[position] if request_ids else None
-            needed = [int(seed) for seed in ids]
-            unavailable = [seed for seed in needed if seed not in column_map]
+        for request_id, needed in zip(request_ids, needs):
+            unavailable = [seed for seed in needed if seed not in answers]
             if not unavailable:
-                outcomes.append(
-                    RequestOutcome(
-                        result=self._assemble(ids, column_map, index),
-                        request_id=request_id,
-                    )
-                )
+                fate = {"result": build(needed)}
             elif any(seed in cancelled_set for seed in unavailable):
-                outcomes.append(
-                    RequestOutcome(
-                        error=DeadlineExceeded(
-                            deadline_s if deadline_s is not None else 0.0,
-                            self._clock() - started,
-                            completed_seeds=len(column_map),
-                            cancelled_seeds=len(cancelled_set),
-                        ),
-                        request_id=request_id,
+                fate = {
+                    "error": DeadlineExceeded(
+                        deadline_s if deadline_s is not None else 0.0,
+                        self._clock() - started,
+                        completed_seeds=len(answers),
+                        cancelled_seeds=len(cancelled_set),
                     )
-                )
+                }
             else:
-                outcomes.append(
-                    RequestOutcome(
-                        error=failures[unavailable[0]], request_id=request_id
-                    )
-                )
+                fate = {"error": failures[unavailable[0]]}
+            outcomes.append(
+                RequestOutcome(request_id=request_id, tier=tier, **fate)
+            )
         return outcomes
 
+    @staticmethod
     def _assemble(
-        self,
-        request_ids: np.ndarray,
-        column_map: Dict[int, np.ndarray],
-        index: Optional[object] = None,
+        seeds: List[int], column_map: Dict[int, np.ndarray], index
     ) -> np.ndarray:
-        if index is None:
-            index = self.index
         out = np.empty(
-            (index.num_nodes, request_ids.size),
-            dtype=index.dtype,
-            order="F",
+            (index.num_nodes, len(seeds)), dtype=index.dtype, order="F"
         )
-        for j, seed in enumerate(request_ids):
-            out[:, j] = column_map[int(seed)]
+        for j, seed in enumerate(seeds):
+            out[:, j] = column_map[seed]
         return out
 
     def _record_batch(
         self,
         plan,
         *,
+        tier: str,
         hits: int,
         misses: int,
         evicted: int,
@@ -1450,12 +1113,17 @@ class CoSimRankService:
         with self._stats_lock:
             self._m_batches.inc()
             self._m_requests.inc(plan.num_requests)
-            self._m_tier_exact.inc(plan.num_requests)
             self._m_seeds.inc(plan.seeds_requested)
-            self._m_unique.inc(int(plan.unique_seeds.size))
-            self._m_hits.inc(hits)
-            self._m_misses.inc(misses)
-            self._m_evictions.inc(evicted)
+            if tier == "exact":
+                self._m_tier_exact.inc(plan.num_requests)
+                self._m_unique.inc(int(plan.unique_seeds.size))
+                self._m_hits.inc(hits)
+                self._m_misses.inc(misses)
+                self._m_evictions.inc(evicted)
+            else:
+                self._m_tier_approx.inc(plan.num_requests)
+                self._m_approx_batches.inc()
+                self._m_approx_seeds.inc(int(plan.unique_seeds.size))
             self._m_retries.inc(retries)
             self._m_degraded.inc(num_failed)
             if deadline_hit:
@@ -1475,6 +1143,7 @@ class CoSimRankService:
             entry = {
                 "batch_id": batch_id,
                 "request_ids": list(request_ids or []),
+                "tier": tier,
                 "seconds": batch_span.wall_seconds,
                 "requests": plan.num_requests,
                 "unique_seeds": int(plan.unique_seeds.size),
@@ -1571,13 +1240,13 @@ class CoSimRankService:
             ``None`` infers them by diffing factors when both indexes
             are monolithic, else conservatively marks every row dirty.
         approx_index:
-            Optional rebuilt :class:`~repro.serving.approx.ApproxIndex`
-            replica for the updated graph; swapped atomically alongside
-            the exact index and version-tagged with the same new
-            version.  ``None`` keeps the current replica (it then
-            serves stale sketches until the next publish supplies one —
-            acceptable for an approximate tier, but the version gauges
-            make the skew visible).
+            Optional replica for the updated graph (e.g.
+            ``new_index.truncate_to_rank(...)``); swapped atomically
+            alongside the exact index and version-tagged with the same
+            new version.  ``None`` keeps the current replica (it then
+            serves the old graph's factors until the next publish
+            supplies one — acceptable for a degraded tier, but the
+            version gauges make the skew visible).
 
         Returns
         -------
@@ -1644,7 +1313,7 @@ class CoSimRankService:
                 self._m_index_version.set(version)
                 if approx_index is not None:
                     self._m_approx_index_version.set(version)
-                    self._m_approx_atol.set(approx_index.query_atol())
+                    self._publish_approx_atol(approx_index)
                 self._m_swap_seconds.observe(elapsed)
                 self._m_cache_invalidated.inc(col["dropped"])
                 self._m_cache_patched.inc(col["patched"])

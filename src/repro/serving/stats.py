@@ -61,12 +61,13 @@ class ServingStats:
     lookup_seconds / compute_seconds / assemble_seconds:
         Cumulative wall time in the three serving phases: cache
         probing, miss computation (``query_columns``), and scattering
-        columns into per-request result blocks.  Measured by the
-        ``serve.*`` spans, so they are zero while instrumentation is
-        disabled (:func:`repro.obs.disable`).
+        columns into per-request result blocks, for batches of either
+        tier.  Measured by the ``serve.*`` spans, so they are zero
+        while instrumentation is disabled (:func:`repro.obs.disable`).
     tier_exact / tier_approx:
-        Answered requests per serving tier (docs/approx.md) — column
-        requests plus top-k seed requests, each counted exactly once:
+        Answered requests per serving tier — the exact index or the
+        rank-truncated replica (docs/approx.md) — column requests plus
+        top-k seed requests, each counted exactly once:
         ``tier_exact + tier_approx`` always equals
         ``requests + topk seeds served``.
     approx_batches:

@@ -43,7 +43,14 @@ from repro.sharding.manifest import (
     plan_shards,
 )
 from repro.sharding.router import RoutedSeeds, ShardRouter
-from repro.sharding.store import Shard, ShardStore, ShardStoreWriter, shard_index
+from repro.sharding.store import (
+    REPLICA_DIR,
+    Shard,
+    ShardStore,
+    ShardStoreWriter,
+    replica_store_path,
+    shard_index,
+)
 
 __all__ = [
     "ShardManifest",
@@ -54,6 +61,8 @@ __all__ = [
     "ShardStore",
     "ShardStoreWriter",
     "shard_index",
+    "REPLICA_DIR",
+    "replica_store_path",
     "build_sharded_store",
     "rebuild_shards",
     "repair_sharded_store",

@@ -57,6 +57,11 @@ import numpy as np
 from scipy.sparse.linalg import svds
 
 from repro.core.config import CSRPlusConfig
+from repro.core.index import (
+    replica_rank,
+    truncation_atol,
+    truncation_residual_norms,
+)
 from repro.core.memory import MemoryMeter, publish_peak, sparse_nbytes
 from repro.errors import (
     DecompositionError,
@@ -78,7 +83,12 @@ from repro.sharding.manifest import (
     array_sha256,
     plan_shards,
 )
-from repro.sharding.store import ShardStore, ShardStoreWriter, _shard_file_names
+from repro.sharding.store import (
+    REPLICA_DIR,
+    ShardStore,
+    ShardStoreWriter,
+    _shard_file_names,
+)
 
 __all__ = [
     "build_sharded_store",
@@ -104,18 +114,25 @@ def _solve_stein(h_matrix: np.ndarray, cfg: CSRPlusConfig) -> Tuple[np.ndarray, 
     return solve_stein_direct(h_matrix, cfg.damping), 0
 
 
+#: What a factor pass yields: the retained ``n x r`` query factor ``U``
+#: (float64), ``sigma``, the ``r x r`` map ``H``, ``z_block_of(a, b)``
+#: computing ``Z[a:b]`` on demand, and the Stein iteration count.
+_Factors = Tuple[
+    np.ndarray, np.ndarray, np.ndarray, Callable[[int, int], np.ndarray], int
+]
+
+
 def _factors_streaming(
     graph: DiGraph,
     cfg: CSRPlusConfig,
     meter: MemoryMeter,
     block_rows: int,
-) -> Tuple[np.ndarray, Callable[[int, int], np.ndarray], int]:
-    """The vh-only pipeline: returns ``(U, z_block_of, stein_iterations)``.
+) -> _Factors:
+    """The vh-only pipeline (see :data:`_Factors` for what it returns).
 
-    ``U`` is the retained ``n x r`` query factor (float64, *not* sign
-    canonicalised — see the module docstring) and ``z_block_of(a, b)``
-    computes ``Z[a:b]`` on demand; neither the left SVD factor nor the
-    full ``Z`` is ever materialised.
+    ``U`` is *not* sign canonicalised (see the module docstring);
+    neither the left SVD factor nor the full ``Z`` is ever
+    materialised.
     """
     q_matrix = transition_matrix(graph, dangling=cfg.dangling).tocsr()
     meter.charge("shard/Q", sparse_nbytes(q_matrix))
@@ -167,14 +184,14 @@ def _factors_streaming(
     def z_block_of(start: int, stop: int) -> np.ndarray:
         return u_factor[start:stop, :] @ sps
 
-    return u_factor, z_block_of, iterations
+    return u_factor, sigma, h_matrix, z_block_of, iterations
 
 
 def _factors_dense(
     graph: DiGraph,
     cfg: CSRPlusConfig,
     meter: MemoryMeter,
-) -> Tuple[np.ndarray, Callable[[int, int], np.ndarray], int]:
+) -> _Factors:
     """The small-matrix path: mirrors ``prepare()`` line for line.
 
     Runs exactly the monolithic pipeline (dense SVD via
@@ -201,7 +218,13 @@ def _factors_dense(
     sps = (svd.sigma[:, np.newaxis] * p_matrix) * svd.sigma[np.newaxis, :]
     z_matrix = u_factor @ sps
     meter.charge("shard/Z", z_matrix.nbytes)
-    return u_factor, lambda start, stop: z_matrix[start:stop, :], iterations
+    return (
+        u_factor,
+        svd.sigma,
+        h_matrix,
+        lambda start, stop: z_matrix[start:stop, :],
+        iterations,
+    )
 
 
 def _compute_factors(
@@ -209,7 +232,7 @@ def _compute_factors(
     cfg: CSRPlusConfig,
     meter: MemoryMeter,
     block_rows: Optional[int],
-) -> Tuple[np.ndarray, Callable[[int, int], np.ndarray], int]:
+) -> _Factors:
     max_rank = max(1, graph.num_nodes)
     if cfg.rank > max_rank:
         raise InvalidParameterError(
@@ -243,6 +266,7 @@ def build_sharded_store(
     block_rows: Optional[int] = None,
     overwrite: bool = False,
     memory: Optional[MemoryMeter] = None,
+    replica_path: Union[str, "os.PathLike[str]", None] = None,
     **overrides,
 ) -> ShardStore:
     """Build a sharded store from ``graph`` with ~one shard resident.
@@ -263,12 +287,24 @@ def build_sharded_store(
         Ledger to charge; a fresh unlimited
         :class:`~repro.core.memory.MemoryMeter` by default.  A
         ``memory_budget_bytes`` in the config is honoured either way.
+    replica_path:
+        Also write the degraded serving tier's store here (the HTTP
+        frontend serves ``<store>/replica``, :data:`~repro.sharding.
+        store.REPLICA_DIR`): the same shard layout over the rank-``r'``
+        truncation (:func:`~repro.core.index.replica_rank`) of this
+        build's SVD — ``U[:, :r']`` rows and ``U[:, :r'] (Sigma' P'
+        Sigma')`` rows with ``P'`` solved from ``H[:r', :r']`` — and its
+        :func:`~repro.core.index.truncation_atol` bound against this
+        store in the manifest (docs/approx.md).  With ``overwrite`` and
+        no ``replica_path``, a ``<store>/replica`` left from an earlier
+        build is removed, so a rebuilt store never keeps a replica of
+        its old factors.
 
     Returns the opened :class:`~repro.sharding.store.ShardStore`.
     """
     cfg = (config or CSRPlusConfig()).with_overrides(**overrides)
     meter = memory if memory is not None else MemoryMeter(cfg.memory_budget_bytes)
-    u_factor, z_block_of, iterations = _compute_factors(
+    u_factor, sigma, h_matrix, z_block_of, iterations = _compute_factors(
         graph, cfg, meter, block_rows
     )
     # The effective streaming block height is part of the determinism
@@ -295,16 +331,31 @@ def build_sharded_store(
         dangling=cfg.dangling,
         block_rows=effective_block_rows,
     )
+    replica = None
+    if replica_path is not None:
+        replica = _ReplicaWriter(
+            replica_path, writer.boundaries, sigma, h_matrix, cfg,
+            effective_block_rows, overwrite,
+        )
+    elif overwrite:
+        shutil.rmtree(os.path.join(writer.path, REPLICA_DIR), ignore_errors=True)
     itemsize = np.dtype(cfg.dtype).itemsize
     for i, (start, stop) in enumerate(writer.boundaries):
         rows = stop - start
         # transient f64 block plus (for f32 stores) the cast copies
         transient = rows * cfg.rank * (8 + 2 * itemsize if cfg.dtype == "float32" else 8)
+        if replica is not None:
+            # the replica's blocks plus the f64 residual D = Z - [Z', 0]
+            transient *= 2
         with meter.charged(f"shard/z-block-{i}", transient):
             z_block = _cast_block(z_block_of(start, stop), cfg.dtype)
             u_block = _cast_block(u_factor[start:stop, :], cfg.dtype)
             writer.write_shard(i, z_block, u_block)
+            if replica is not None:
+                replica.write_shard(i, u_factor[start:stop, :], z_block, u_block)
             del z_block, u_block
+    if replica is not None:
+        replica.finalize()
     store = writer.finalize()
     # Everything the factor pipeline retained dies with this frame —
     # settle the ledger so the peak is the build's only legacy.
@@ -314,6 +365,86 @@ def build_sharded_store(
             meter.release(label)
     publish_peak(meter, "shard-build")
     return store
+
+
+class _ReplicaWriter:
+    """Writes the rank-``r'`` replica store shard by shard, beside the
+    exact one, and accumulates its :func:`~repro.core.index.
+    truncation_atol` bound from the stored-dtype blocks of both."""
+
+    def __init__(
+        self,
+        path,
+        boundaries: List[Tuple[int, int]],
+        sigma: np.ndarray,
+        h_matrix: np.ndarray,
+        cfg: CSRPlusConfig,
+        block_rows: int,
+        overwrite: bool,
+    ):
+        self.cfg = cfg
+        self.rank = replica_rank(cfg.rank)
+        small = cfg.with_overrides(rank=self.rank)
+        p_small, iterations = _solve_stein(
+            h_matrix[: self.rank, : self.rank], small
+        )
+        sigma_small = sigma[: self.rank]
+        self.sps = (sigma_small[:, np.newaxis] * p_small) * sigma_small[np.newaxis, :]
+        self.writer = ShardStoreWriter(
+            path,
+            boundaries,
+            rank=self.rank,
+            damping=cfg.damping,
+            epsilon=cfg.epsilon,
+            dtype=cfg.dtype,
+            builder="replica",
+            stein_iterations=iterations,
+            overwrite=overwrite,
+            svd_seed=cfg.svd_seed,
+            solver=cfg.solver,
+            dangling=cfg.dangling,
+            block_rows=block_rows,
+        )
+        self.max_residual = 0.0
+        self.max_u_norm = 0.0
+
+    def write_shard(
+        self,
+        index: int,
+        u_rows: np.ndarray,
+        z_block: np.ndarray,
+        u_block: np.ndarray,
+    ) -> None:
+        """``u_rows``: float64 ``U`` rows; ``z_block``/``u_block``: the
+        exact store's stored-dtype blocks for the same rows."""
+        u_small = u_rows[:, : self.rank]
+        z_small = _cast_block(u_small @ self.sps, self.cfg.dtype)
+        self.writer.write_shard(
+            index, z_small, _cast_block(u_small, self.cfg.dtype)
+        )
+        self.max_residual = max(
+            self.max_residual,
+            float(truncation_residual_norms(z_block, z_small).max()),
+        )
+        self.max_u_norm = max(
+            self.max_u_norm,
+            float(
+                np.linalg.norm(
+                    u_block.astype(np.float64, copy=False), axis=1
+                ).max()
+            ),
+        )
+
+    def finalize(self) -> ShardStore:
+        return self.writer.finalize(
+            approx_atol=truncation_atol(
+                self.cfg.damping,
+                self.max_residual,
+                self.max_u_norm,
+                self.cfg.rank,
+                self.cfg.dtype,
+            )
+        )
 
 
 def rebuild_shards(
@@ -351,6 +482,11 @@ def rebuild_shards(
             )
     if not targets:
         return []
+    if manifest.builder == "replica":
+        raise InvalidParameterError(
+            f"store at {root!r} is a replica; rebuild it together with "
+            "its exact store (build_sharded_store's replica_path)"
+        )
     cfg = CSRPlusConfig(
         damping=manifest.damping,
         rank=manifest.rank,
@@ -371,7 +507,7 @@ def rebuild_shards(
         cast = lambda block: np.ascontiguousarray(block)  # noqa: E731
     else:
         meter = MemoryMeter()
-        u_factor, z_block_of, _ = _compute_factors(
+        u_factor, _, _, z_block_of, _ = _compute_factors(
             graph, cfg, meter, manifest.block_rows or None
         )
         cast = lambda block: _cast_block(block, cfg.dtype)  # noqa: E731
@@ -514,7 +650,7 @@ def repair_sharded_store(
         cast = lambda block: np.ascontiguousarray(block)  # noqa: E731
         iterations = int(index.stein_iterations)
     else:
-        u_factor, z_block_of, iterations = _compute_factors(
+        u_factor, _, _, z_block_of, iterations = _compute_factors(
             graph, cfg, MemoryMeter(), manifest.block_rows or None
         )
         cast = lambda block: _cast_block(block, cfg.dtype)  # noqa: E731

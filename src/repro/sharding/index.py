@@ -215,6 +215,13 @@ class ShardedIndex:
         return self.config.rank
 
     @property
+    def approx_atol(self) -> Optional[float]:
+        """A replica store's published error bound (manifest field;
+        ``None`` for exact stores) — the accessor
+        :class:`~repro.core.index.CSRPlusIndex` replicas share."""
+        return self._store.manifest.approx_atol
+
+    @property
     def router(self) -> ShardRouter:
         return self._router
 

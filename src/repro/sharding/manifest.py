@@ -26,7 +26,7 @@ import hashlib
 import json
 import os
 from dataclasses import asdict, dataclass
-from typing import List, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -117,7 +117,10 @@ class ShardManifest:
     byte-identical row slices of a prepared monolithic index (queries
     are bit-exact against it), ``"out-of-core"`` stores were built
     without ever materialising the full factors and carry the
-    tolerance-equivalence contract instead (docs/sharding.md).
+    tolerance-equivalence contract instead (docs/sharding.md), and
+    ``"replica"`` stores hold the rank-truncated factors of the
+    degraded serving tier, written beside an exact store
+    (docs/approx.md).
     """
 
     version: int
@@ -139,6 +142,11 @@ class ShardManifest:
     dangling: str
     block_rows: int
     shards: List[ShardMeta]
+    #: For a replica store (``builder == "replica"``): the published
+    #: per-entry error bound against the exact store it was truncated
+    #: from (:func:`~repro.core.index.truncation_atol`); ``None`` for
+    #: exact stores.
+    approx_atol: Optional[float] = None
 
     # ------------------------------------------------------------------
     @property

@@ -8,6 +8,7 @@ Layout of a store directory::
       shard-00000.u.npy      # U[start_0:stop_0, :]
       shard-00001.z.npy
       ...
+      replica/               # optional: the degraded tier's store
 
 Two ways to create one:
 
@@ -45,7 +46,28 @@ from repro.sharding.manifest import (
 )
 from repro.testing import faults
 
-__all__ = ["Shard", "ShardStore", "ShardStoreWriter", "shard_index"]
+__all__ = [
+    "REPLICA_DIR",
+    "Shard",
+    "ShardStore",
+    "ShardStoreWriter",
+    "replica_store_path",
+    "shard_index",
+]
+
+#: Subdirectory of an exact store that holds its rank-truncated replica
+#: (:func:`~repro.sharding.builder.build_sharded_store`'s
+#: ``replica_path``), which the HTTP frontend serves as the degraded
+#: tier (docs/approx.md).
+REPLICA_DIR = "replica"
+
+
+def replica_store_path(
+    store_path: Union[str, "os.PathLike[str]"]
+) -> Optional[str]:
+    """``<store>/replica`` when it holds a finished store, else ``None``."""
+    path = os.path.join(os.fspath(store_path), REPLICA_DIR)
+    return path if os.path.exists(os.path.join(path, MANIFEST_NAME)) else None
 
 
 def _shard_file_names(index: int) -> Tuple[str, str]:
@@ -164,8 +186,12 @@ class ShardStoreWriter:
         self._written[int(index)] = meta
         return meta
 
-    def finalize(self) -> "ShardStore":
-        """Write the manifest (all shards must have been written)."""
+    def finalize(self, approx_atol: Optional[float] = None) -> "ShardStore":
+        """Write the manifest (all shards must have been written).
+
+        ``approx_atol`` is a replica store's published error bound
+        (:attr:`ShardManifest.approx_atol`).
+        """
         missing = [
             i for i in range(len(self._boundaries)) if i not in self._written
         ]
@@ -188,6 +214,7 @@ class ShardStoreWriter:
             dangling=self._dangling,
             block_rows=self._block_rows,
             shards=[self._written[i] for i in range(len(self._boundaries))],
+            approx_atol=approx_atol,
         )
         manifest.save(self.path)
         return ShardStore(self.path)

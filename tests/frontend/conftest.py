@@ -14,9 +14,8 @@ import pytest
 
 from repro.core.config import CSRPlusConfig
 from repro.graphs.generators import chung_lu
-from repro.serving.approx import ApproxIndex
 from repro.serving.frontend import BackgroundFrontend, FrontendConfig
-from repro.sharding import build_sharded_store
+from repro.sharding import REPLICA_DIR, build_sharded_store
 
 NUM_NODES = 150
 RANK = 5
@@ -40,21 +39,26 @@ def store_path(tmp_path_factory, frontend_graph):
 
 
 @pytest.fixture(scope="session")
-def approx_path(tmp_path_factory, frontend_graph):
-    """A saved sketch replica so the approx tier is live over HTTP."""
-    path = tmp_path_factory.mktemp("frontend-approx") / "approx.npz"
-    ApproxIndex.for_rank(frontend_graph, RANK).save(path)
-    return path
+def tiered_store_path(tmp_path_factory, frontend_graph):
+    """The same store plus its rank-truncated replica at
+    ``<store>/replica``, so the approx tier is live over HTTP."""
+    root = tmp_path_factory.mktemp("frontend-tiered") / "graph.shards"
+    store = build_sharded_store(
+        frontend_graph,
+        root,
+        num_shards=3,
+        config=CSRPlusConfig(rank=RANK),
+        replica_path=root / REPLICA_DIR,
+    )
+    return store.path
 
 
 @pytest.fixture(scope="session")
-def frontend(store_path, frontend_graph, approx_path):
+def frontend(tiered_store_path):
     """A live HTTP frontend with 2 workers, shared across the session."""
     background = BackgroundFrontend(
-        store_path,
+        tiered_store_path,
         config=FrontendConfig(workers=2, coalesce_window_s=0.0),
-        graph=frontend_graph,
-        approx_path=approx_path,
     )
     with background:
         yield background

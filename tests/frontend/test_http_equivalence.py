@@ -12,15 +12,16 @@ session/module fixtures so the search stays cheap.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.serving import CoSimRankService
-from repro.serving.approx import ApproxIndex
 from repro.serving.frontend import FrontendClient
-from repro.sharding import ShardedIndex
+from repro.sharding import REPLICA_DIR, ShardedIndex
 
 from .conftest import NUM_NODES
 
@@ -47,14 +48,15 @@ def client(frontend_url):
 
 
 @pytest.fixture(scope="module")
-def in_process(store_path, approx_path, frontend_graph):
-    index = ShardedIndex(store_path)
-    approx = ApproxIndex.load(approx_path, frontend_graph)
+def in_process(tiered_store_path):
+    index = ShardedIndex(tiered_store_path)
+    approx = ShardedIndex(os.path.join(tiered_store_path, REPLICA_DIR))
     with CoSimRankService(
         index, approx_index=approx, max_workers=1
     ) as service:
         yield service
     index.close()
+    approx.close()
 
 
 @settings(**SETTINGS)
@@ -94,7 +96,7 @@ def test_topk_round_trip_is_bit_identical(
 @settings(**SETTINGS)
 @given(seeds=seed_lists)
 def test_approx_tier_round_trips_outcome_metadata(seeds, client, in_process):
-    """Approx answers (sketched, not exact) must still match in-process
+    """Approx answers (the replica's, not exact) must still match in-process
     bit-for-bit, and the tier label must survive the wire."""
     got = client.serve_batch_detailed([seeds], quality="approx")
     want = in_process.serve_batch_detailed([seeds], quality="approx")

@@ -105,10 +105,6 @@ class TestValidation:
         with pytest.raises(InvalidParameterError):
             WorkerPool(store_path, 0)
 
-    def test_approx_path_requires_graph(self, store_path):
-        with pytest.raises(InvalidParameterError):
-            WorkerPool(store_path, 1, approx_path="/nope.approx.npz")
-
     def test_submit_after_close_rejected(self, store_path):
         pool = WorkerPool(store_path, 1)
         pool.close()

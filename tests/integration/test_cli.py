@@ -278,14 +278,13 @@ class TestQualityFlag:
                 "--queries-file", self._write_queries(tmp_path),
                 "--rank", "4",
                 "--quality", "approx",
-                "--approx-projections", "64",
                 "--json",
             ]
         )
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["quality"] == "approx"
-        assert payload["approx"]["num_projections"] == 64
+        assert payload["approx"]["rank"] == 1  # replica_rank(4)
         assert payload["approx"]["atol"] > 0
 
     def test_serve_batch_human_output_prints_tiers_line(self, tmp_path, capsys):
@@ -297,13 +296,12 @@ class TestQualityFlag:
                 "--queries-file", self._write_queries(tmp_path),
                 "--rank", "4",
                 "--quality", "auto",
-                "--approx-projections", "64",
             ]
         )
         assert code == 0
         out = capsys.readouterr().out
         assert "tiers: exact=" in out
-        assert "replica d=64" in out
+        assert "replica rank=1" in out
 
     def test_shards_reject_quality(self, tmp_path, capsys):
         code = main(
@@ -332,7 +330,6 @@ class TestQualityFlag:
                 "--max-inflight-seeds", "4",
                 "--cache-columns", "0",
                 "--quality", "auto",
-                "--approx-projections", "64",
                 "--seed", "3",
                 "--simulate",
                 "--json",

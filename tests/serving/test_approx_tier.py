@@ -2,9 +2,9 @@
 
 docs/approx.md's contracts, end to end:
 
-* ``quality="approx"`` answers from the sketch replica within
-  :func:`~repro.serving.approx.approx_query_atol`, tagged
-  ``tier="approx"``;
+* ``quality="approx"`` answers from the rank-truncated replica within
+  its published ``approx_atol`` (:func:`~repro.core.index.
+  truncation_atol`), tagged ``tier="approx"``;
 * ``quality="auto"`` turns would-be sheds into approximate answers
   instead of raising :class:`~repro.errors.ServiceOverloaded` — the
   acceptance bar is >= 90% of the requests an exact-only service sheds;
@@ -12,24 +12,22 @@ docs/approx.md's contracts, end to end:
   ``TopKCache``;
 * every answered request lands in exactly one of
   ``csrplus_serve_tier_{exact,approx}_total``;
-* ``publish_index`` version-tags the replica; the registry resolves
-  ``.approx.npz`` replicas through the same hardened tiers.
+* ``publish_index`` version-tags the replica.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.index import CSRPlusIndex
+from repro.core.index import (
+    CSRPlusIndex,
+    replica_rank,
+    truncation_atol,
+    truncation_residual_norms,
+)
 from repro.errors import InvalidParameterError, ServiceOverloaded
 from repro.graphs.generators import ring
 from repro.metrics.accuracy import avg_diff
-from repro.serving import (
-    ApproxIndex,
-    CoSimRankService,
-    IndexRegistry,
-    QUALITY_LEVELS,
-    approx_query_atol,
-)
+from repro.serving import CoSimRankService, QUALITY_LEVELS
 from tests.obs.prom import assert_known_families
 
 RANK = 6
@@ -46,9 +44,13 @@ def index(graph):
     return CSRPlusIndex(graph, rank=RANK).prepare()
 
 
+def _replica_of(index):
+    return index.truncate_to_rank(replica_rank(index.rank))
+
+
 @pytest.fixture(scope="module")
-def replica(graph):
-    return ApproxIndex.for_rank(graph, RANK, num_projections=256).prepare()
+def replica(index):
+    return _replica_of(index)
 
 
 class TestQualityKnob:
@@ -78,7 +80,7 @@ class TestQualityKnob:
                 service.serve_batch([[0, 1, 2, 3]], quality="auto")
 
     def test_replica_must_match_node_count(self, index):
-        wrong = ApproxIndex(ring(N + 1), num_projections=64)
+        wrong = _replica_of(CSRPlusIndex(ring(N + 1), rank=RANK).prepare())
         with pytest.raises(InvalidParameterError, match="node set"):
             CoSimRankService(index, approx_index=wrong)
 
@@ -95,7 +97,7 @@ class TestApproxAnswers:
             assert outcome.tier == "approx"
             exact = index.query(request)
             assert outcome.result.shape == exact.shape
-            assert avg_diff(outcome.result, exact) <= replica.query_atol()
+            assert avg_diff(outcome.result, exact) <= replica.approx_atol
             assert outcome.result.flags["F_CONTIGUOUS"]
 
     def test_exact_outcomes_tagged_exact(self, index, replica):
@@ -151,7 +153,7 @@ class TestAutoDowngrade:
             assert outcome.ok
             assert outcome.tier == "approx"
             assert avg_diff(outcome.result, index.query(request)) <= (
-                replica.query_atol()
+                replica.approx_atol
             )
             stats = service.stats()
             assert stats.shed == 1  # only the quality="exact" call shed
@@ -196,7 +198,7 @@ class TestAutoDowngrade:
                 if outcome.ok and outcome.tier == "approx":
                     assert avg_diff(
                         outcome.result, index.query(request)
-                    ) <= replica.query_atol()
+                    ) <= replica.approx_atol
                     served += 1
             assert served / shed >= 0.90
             assert service.stats().shed == 0
@@ -263,9 +265,7 @@ class TestPublishReplica:
             assert service.approx_version == 0
             new_graph = graph.with_edges_added([(0, 24)])
             new_index = CSRPlusIndex(new_graph, rank=RANK).prepare()
-            new_replica = ApproxIndex.for_rank(
-                new_graph, RANK, num_projections=128
-            )
+            new_replica = _replica_of(new_index)
             version = service.publish_index(
                 new_index, approx_index=new_replica
             )
@@ -290,89 +290,28 @@ class TestPublishReplica:
         index = CSRPlusIndex(graph, rank=RANK).prepare()
         with CoSimRankService(index, approx_index=replica) as service:
             new_index = CSRPlusIndex(graph, rank=RANK).prepare()
-            wrong = ApproxIndex(ring(N + 2), num_projections=64)
+            wrong = _replica_of(CSRPlusIndex(ring(N + 2), rank=RANK).prepare())
             with pytest.raises(InvalidParameterError, match="node set"):
                 service.publish_index(new_index, approx_index=wrong)
 
 
-class TestApproxPersistence:
-    def test_save_load_round_trip_is_byte_identical(self, graph, tmp_path):
-        path = tmp_path / "replica.approx.npz"
-        original = ApproxIndex.for_rank(
-            graph, RANK, num_projections=128, seed=7
-        ).prepare()
-        original.save(path)
-        loaded = ApproxIndex.load(path, graph)
-        assert loaded.is_prepared
-        assert loaded.dtype == original.dtype
-        assert loaded.config == original.config
-        seeds = [0, 5, 9]
-        assert np.array_equal(
-            loaded.query_columns(seeds), original.query_columns(seeds)
-        )
-
-    def test_load_rejects_wrong_graph(self, graph, tmp_path):
-        path = tmp_path / "replica.approx.npz"
-        ApproxIndex(graph, num_projections=64).save(path)
-        with pytest.raises(InvalidParameterError, match="nodes"):
-            ApproxIndex.load(path, ring(N + 3))
-
-    def test_registry_resolves_replica_through_all_tiers(self, graph, tmp_path):
-        registry = IndexRegistry(tmp_path)
-        first = registry.get_approx(
-            "ring-approx", graph, num_projections=128, seed=3
-        )
-        # build tier saved it with a checksum sidecar
-        path = registry.approx_path_for("ring-approx")
-        import os
-
-        assert os.path.exists(path)
-        assert os.path.exists(path + ".sha256")
-        # memory tier: same object back
-        assert registry.get_approx("ring-approx", graph) is first
-        # disk tier: a fresh registry loads the identical sketches
-        second = IndexRegistry(tmp_path).get_approx("ring-approx", graph)
-        assert second is not first
-        seeds = [0, 1, 2]
-        assert np.array_equal(
-            second.query_columns(seeds), first.query_columns(seeds)
-        )
-        assert "ring-approx" in registry.names()
-
-    def test_registry_quarantines_corrupt_replica(self, graph, tmp_path):
-        registry = IndexRegistry(tmp_path)
-        registry.get_approx("bad", graph, num_projections=64, seed=1)
-        path = registry.approx_path_for("bad")
-        with open(path, "r+b") as handle:
-            handle.seek(40)
-            handle.write(b"\xff\xff\xff\xff")
-        fresh = IndexRegistry(tmp_path)
-        rebuilt = fresh.get_approx("bad", graph, num_projections=64, seed=1)
-        assert rebuilt.is_prepared
-        import os
-
-        assert os.path.exists(path + ".corrupt")
-
-    def test_evict_drops_replica_and_file(self, graph, tmp_path):
-        registry = IndexRegistry(tmp_path)
-        registry.get_approx("gone", graph, num_projections=64)
-        path = registry.approx_path_for("gone")
-        registry.evict("gone", delete_file=True)
-        import os
-
-        assert not os.path.exists(path)
-        assert not os.path.exists(path + ".sha256")
-
-
 class TestAtolContract:
-    def test_atol_validates_parameters(self):
-        with pytest.raises(InvalidParameterError):
-            approx_query_atol(0, 0.6)
-        with pytest.raises(InvalidParameterError):
-            approx_query_atol(256, 1.0)
+    def test_atol_shrinks_with_rank(self, index):
+        # at full rank the replica is the index itself: only the
+        # rounding term of the bound is left
+        full = index.truncate_to_rank(index.rank)
+        assert full.approx_atol < index.truncate_to_rank(1).approx_atol
+        np.testing.assert_allclose(
+            full.query([0, 5]), index.query([0, 5]), rtol=0, atol=full.approx_atol
+        )
 
-    def test_atol_shrinks_with_projections(self):
-        assert approx_query_atol(1024, 0.6) < approx_query_atol(64, 0.6)
-
-    def test_replica_exposes_its_contract(self, replica):
-        assert replica.query_atol() == approx_query_atol(256, replica.damping)
+    def test_replica_exposes_its_contract(self, index, replica):
+        u, _, _, z = index.factors
+        assert replica.approx_atol == truncation_atol(
+            index.damping,
+            truncation_residual_norms(z, replica.factors[3]).max(),
+            np.linalg.norm(u, axis=1).max(),
+            index.rank,
+            index.dtype,
+        )
+        assert index.approx_atol is None  # not a replica of anything

@@ -287,14 +287,12 @@ class TestQualityForwarding:
     )
 
     def _auto_run(self, index, **kwargs):
-        from repro.serving import ApproxIndex
+        from repro.core.index import replica_rank
 
         profile = LoadProfile(**self._OVERLOAD)
         schedule = build_schedule(profile, index.num_nodes)
         clock = SimulatedClock()
-        replica = ApproxIndex.for_rank(
-            index.graph, index.config.rank, num_projections=256
-        ).prepare()
+        replica = index.truncate_to_rank(replica_rank(index.rank))
         service = _service(
             index,
             max_inflight_seeds=4,

@@ -9,7 +9,13 @@ from repro.core.memory import MemoryMeter
 from repro.errors import InvalidParameterError
 from repro.graphs.generators import chung_lu, erdos_renyi, ring
 from repro.linalg.svd import uses_dense_fallback
-from repro.sharding import ShardedIndex, build_sharded_store
+from repro.sharding import (
+    REPLICA_DIR,
+    ShardedIndex,
+    build_sharded_store,
+    rebuild_shards,
+    replica_store_path,
+)
 
 
 class TestDensePathFidelity:
@@ -160,3 +166,31 @@ class TestBuilderValidation:
         )
         assert store.manifest.rank == 3
         assert store.manifest.damping == 0.7
+
+
+class TestReplicaStore:
+    """``replica_path`` writes the degraded tier's store (docs/approx.md)."""
+
+    def test_overwrite_without_replica_drops_the_stale_one(self, tmp_path):
+        store_path = tmp_path / "s"
+        config = CSRPlusConfig(rank=4)
+        build_sharded_store(
+            ring(40), store_path, num_shards=2, config=config,
+            replica_path=store_path / REPLICA_DIR,
+        )
+        assert replica_store_path(store_path) is not None
+        # a rebuild for another graph must not keep the old graph's replica
+        build_sharded_store(
+            ring(40).with_edges_added([(0, 20)]), store_path, num_shards=2,
+            config=config, overwrite=True,
+        )
+        assert replica_store_path(store_path) is None
+
+    def test_rebuild_shards_refuses_a_replica(self, tmp_path):
+        store_path = tmp_path / "s"
+        build_sharded_store(
+            ring(40), store_path, num_shards=2, config=CSRPlusConfig(rank=4),
+            replica_path=store_path / REPLICA_DIR,
+        )
+        with pytest.raises(InvalidParameterError, match="replica"):
+            rebuild_shards(ring(40), store_path / REPLICA_DIR, [0])
