@@ -10,7 +10,10 @@ MATLAB's sparse SVD; here :func:`truncated_svd` wraps ARPACK
   used (``r >= min(shape) - 1``);
 * sign canonicalisation (largest-|entry| component of each left singular
   vector made positive), removing the per-column sign ambiguity so that
-  CSR+ and the CSR-NI baseline see identical factors.
+  CSR+ and the CSR-NI baseline see identical factors;
+* one BLAS thread for small solves (:func:`arpack_svds`), where
+  handing ARPACK's many small BLAS calls to worker threads costs more
+  than it saves.
 
 Singular values are returned in non-increasing order.
 """
@@ -25,8 +28,22 @@ from scipy import sparse
 from scipy.sparse.linalg import svds
 
 from repro.errors import DecompositionError, InvalidParameterError
+from repro.linalg.blas import single_threaded_blas
 
-__all__ = ["TruncatedSVD", "truncated_svd", "uses_dense_fallback"]
+__all__ = [
+    "ARPACK_THREADED_MIN_ENTRIES",
+    "TruncatedSVD",
+    "arpack_svds",
+    "truncated_svd",
+    "uses_dense_fallback",
+]
+
+#: Solves whose Lanczos basis (``n x ncv`` entries, ``ncv =
+#: max(2r + 1, 20)`` as in ``eigsh``) is smaller than this run with one
+#: BLAS thread.  Measured on 2 CPUs (R-MAT TW stand-in, ``r = 16``): at
+#: ``n = 16,384`` one thread prepares in ~140 ms against 190-330 ms
+#: threaded; at ``n = 131,072`` threads win, ~1.35 s against ~1.7 s.
+ARPACK_THREADED_MIN_ENTRIES = 1 << 20
 
 Matrix = Union[np.ndarray, sparse.spmatrix]
 
@@ -72,6 +89,22 @@ def uses_dense_fallback(shape: Tuple[int, int], rank: int) -> bool:
     """
     min_dim = min(shape)
     return (rank >= min_dim - 1) or (min_dim <= 64)
+
+
+def arpack_svds(matrix: Matrix, rank: int, v0: np.ndarray, **kwargs):
+    """``svds(matrix, k=rank, v0=v0, **kwargs)`` under the thread rule.
+
+    Solves below :data:`ARPACK_THREADED_MIN_ENTRIES` run with every
+    loaded OpenBLAS at one thread (:func:`~repro.linalg.blas.
+    single_threaded_blas`); larger ones keep the process's setting.
+    Both SVD paths (:func:`truncated_svd` and the shard builder's
+    vh-only solve) go through here, so they stay in lockstep.
+    """
+    n = min(matrix.shape)
+    if n * max(2 * rank + 1, 20) >= ARPACK_THREADED_MIN_ENTRIES:
+        return svds(matrix, k=rank, v0=v0, **kwargs)
+    with single_threaded_blas():
+        return svds(matrix, k=rank, v0=v0, **kwargs)
 
 
 def truncated_svd(matrix: Matrix, rank: int, seed: int = 0) -> TruncatedSVD:
@@ -122,7 +155,7 @@ def truncated_svd(matrix: Matrix, rank: int, seed: int = 0) -> TruncatedSVD:
         rng = np.random.default_rng(seed)
         v0 = rng.standard_normal(shape[0])
         try:
-            u, s, vt = svds(matrix.astype(np.float64), k=rank, v0=v0)
+            u, s, vt = arpack_svds(matrix.astype(np.float64), rank, v0)
         except Exception as exc:
             raise DecompositionError(f"sparse SVD (ARPACK) failed: {exc}") from exc
         # svds returns ascending singular values; flip to non-increasing.

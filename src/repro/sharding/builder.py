@@ -54,7 +54,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
-from scipy.sparse.linalg import svds
 
 from repro.core.config import CSRPlusConfig
 from repro.core.index import (
@@ -75,7 +74,7 @@ from repro.linalg.stein import (
     solve_stein_fixed_point,
     solve_stein_squaring,
 )
-from repro.linalg.svd import truncated_svd, uses_dense_fallback
+from repro.linalg.svd import arpack_svds, truncated_svd, uses_dense_fallback
 from repro.sharding.manifest import (
     MANIFEST_VERSION,
     ShardManifest,
@@ -143,10 +142,10 @@ def _factors_streaming(
     rng = np.random.default_rng(cfg.svd_seed)
     v0 = rng.standard_normal(n)
     try:
-        _, s, vt = svds(
+        _, s, vt = arpack_svds(
             q_matrix.astype(np.float64),
-            k=cfg.rank,
-            v0=v0,
+            cfg.rank,
+            v0,
             return_singular_vectors="vh",
         )
     except Exception as exc:
