@@ -783,16 +783,6 @@ def _parse_edge_pairs(text: str, flag: str) -> List[tuple]:
     return edges
 
 
-def _random_edge_batch(rng, num_nodes: int, count: int) -> List[tuple]:
-    """``count`` random non-self-loop edges over ``num_nodes`` nodes."""
-    edges = []
-    for _ in range(max(0, count)):
-        src = int(rng.integers(num_nodes))
-        dst = int((src + 1 + rng.integers(max(1, num_nodes - 1))) % num_nodes)
-        edges.append((src, dst))
-    return edges
-
-
 def _cmd_update(args: argparse.Namespace) -> int:
     from repro.errors import InvalidParameterError
     from repro.sharding import repair_sharded_store
@@ -871,7 +861,7 @@ def _read_requests_file(path: str) -> List[List[int]]:
 
 def _cmd_serve_batch(args: argparse.Namespace) -> int:
     import repro.obs as obs
-    from repro.serving import CoSimRankService, IndexRegistry
+    from repro.serving import CoSimRankService
 
     if args.metrics_out or args.trace_out:
         # The dumps are the point of these flags; make sure the
@@ -885,7 +875,6 @@ def _cmd_serve_batch(args: argparse.Namespace) -> int:
         logging.basicConfig(level=logging.WARNING)
 
     requests = _read_requests_file(args.queries_file)
-    chain = None
     if args.shards:
         from repro.errors import InvalidParameterError
         from repro.sharding import ShardedIndex
@@ -908,41 +897,23 @@ def _cmd_serve_batch(args: argparse.Namespace) -> int:
             )
         index = ShardedIndex(args.shards)
         num_nodes, num_edges = index.num_nodes, None
-        config = index.config
+        config, chain, approx_index = index.config, None, None
     else:
-        graph = _load_graph(args)
-        num_nodes, num_edges = graph.num_nodes, graph.num_edges
-        config = CSRPlusConfig(
-            damping=args.damping, rank=min(args.rank, graph.num_nodes)
-        )
-        if args.live:
+        if args.live and args.live_shards is not None and not args.live_store:
             from repro.errors import InvalidParameterError
-            from repro.serving import LiveIndexChain
 
-            if args.live_shards is not None and not args.live_store:
-                raise InvalidParameterError(
-                    "--live-shards needs --live-store (one directory per "
-                    "version is created beneath it)"
-                )
-            chain = LiveIndexChain(
-                graph,
-                config,
-                store_root=args.live_store,
-                num_shards=args.live_shards,
+            raise InvalidParameterError(
+                "--live-shards needs --live-store (one directory per "
+                "version is created beneath it)"
             )
-            index = chain.index
-        elif args.index_dir:
-            source = args.dataset or "edgelist"
-            name = args.index_name or (
-                f"{source}-{args.tier}-r{config.rank}-c{config.damping}"
-            )
-            index = IndexRegistry(args.index_dir).get(name, graph, config)
-        else:
-            index = CSRPlusIndex(graph, config).prepare()
-
-    approx_index = (
-        _replica_for(index, graph, config) if args.quality != "exact" else None
-    )
+        graph, config, index, chain, approx_index = _build_served_index(
+            args,
+            live=args.live,
+            store_root=args.live_store,
+            num_shards=args.live_shards,
+            index_dir=args.index_dir,
+        )
+        num_nodes, num_edges = graph.num_nodes, graph.num_edges
 
     passes = []
     slow_query_seconds = (
@@ -963,10 +934,10 @@ def _cmd_serve_batch(args: argparse.Namespace) -> int:
         approx_index=approx_index,
     ) as service:
         if chain is not None:
-            import numpy as _np
-
-            chain.attach(service)
-            mutate_rng = _np.random.default_rng(args.mutate_seed)
+            mutate = _edge_mutator(
+                chain, service, args.mutate_seed, num_nodes,
+                args.mutate_per_pass,
+            )
         topk_seeds = (
             [seed for request in requests for seed in request]
             if args.topk is not None
@@ -977,11 +948,7 @@ def _cmd_serve_batch(args: argparse.Namespace) -> int:
             if chain is not None and pass_num > 1:
                 # live scenario: an edge batch lands between passes and
                 # the repaired version is swapped in before this pass
-                link = chain.update_edges(
-                    added=_random_edge_batch(
-                        mutate_rng, num_nodes, args.mutate_per_pass
-                    )
-                )
+                link = mutate()
             started = time.perf_counter()
             if topk_seeds is not None:
                 results = service.serve_topk(
@@ -1181,13 +1148,70 @@ def _load_graph(args: argparse.Namespace):
     return graph
 
 
-def _replica_for(index, graph, config: CSRPlusConfig) -> CSRPlusIndex:
-    """The degraded tier's replica (docs/approx.md): ``index`` truncated
-    to :func:`~repro.core.index.replica_rank`, after preparing a
-    monolithic index from ``graph`` when ``index`` is not one."""
-    if not isinstance(index, CSRPlusIndex):
+def _build_served_index(
+    args: argparse.Namespace,
+    *,
+    live: bool,
+    store_root: Optional[str] = None,
+    num_shards: Optional[int] = None,
+    index_dir: Optional[str] = None,
+):
+    """``(graph, config, index, chain, replica)`` for ``serve-batch`` and
+    ``loadgen``.  The index is a live chain's head when ``live`` (else
+    ``chain`` is ``None``), a registry entry under ``index_dir``, or a
+    fresh build; ``replica`` is the degraded tier's (docs/approx.md)
+    when ``args.quality`` is not ``"exact"``."""
+    graph = _load_graph(args)
+    config = CSRPlusConfig(
+        damping=args.damping, rank=min(args.rank, graph.num_nodes)
+    )
+    chain = None
+    if live:
+        from repro.serving import LiveIndexChain
+
+        chain = LiveIndexChain(
+            graph, config, store_root=store_root, num_shards=num_shards
+        )
+        index = chain.index
+    elif index_dir:
+        from repro.serving import IndexRegistry
+
+        source = args.dataset or "edgelist"
+        name = args.index_name or (
+            f"{source}-{args.tier}-r{config.rank}-c{config.damping}"
+        )
+        index = IndexRegistry(index_dir).get(name, graph, config)
+    else:
         index = CSRPlusIndex(graph, config).prepare()
-    return index.truncate_to_rank(replica_rank(index.rank))
+    replica = None
+    if args.quality != "exact":
+        # truncate a monolithic index; prepare one first when serving
+        # a sharded chain head
+        base = index
+        if not isinstance(base, CSRPlusIndex):
+            base = CSRPlusIndex(graph, config).prepare()
+        replica = base.truncate_to_rank(replica_rank(base.rank))
+    return graph, config, index, chain, replica
+
+
+def _edge_mutator(chain, service, seed: int, num_nodes: int, count: int):
+    """Attach ``chain`` to ``service`` and return ``mutate()``: each call
+    adds ``count`` seeded random non-self-loop edges through the chain,
+    which swaps the repaired version into ``service`` live."""
+    import numpy as np
+
+    chain.attach(service)
+    rng = np.random.default_rng(seed)
+
+    def mutate(*_ignored):
+        edges = []
+        for _ in range(max(0, count)):
+            src = int(rng.integers(num_nodes))
+            dst = int((src + 1 + rng.integers(max(1, num_nodes - 1))) % num_nodes)
+            edges.append((src, dst))
+        return chain.update_edges(added=edges)
+
+    return mutate
 
 
 def _cmd_loadgen(args: argparse.Namespace) -> int:
@@ -1208,20 +1232,8 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         obs.enable()
     if args.url:
         return _cmd_loadgen_http(args)
-    graph = _load_graph(args)
-    config = CSRPlusConfig(
-        damping=args.damping, rank=min(args.rank, graph.num_nodes)
-    )
-    chain = None
-    if args.mutate_every:
-        from repro.serving import LiveIndexChain
-
-        chain = LiveIndexChain(graph, config)
-        index = chain.index
-    else:
-        index = CSRPlusIndex(graph, config).prepare()
-    approx_index = (
-        _replica_for(index, graph, config) if args.quality != "exact" else None
+    graph, _, index, chain, approx_index = _build_served_index(
+        args, live=bool(args.mutate_every)
     )
     profile = LoadProfile(
         requests=args.requests,
@@ -1258,18 +1270,10 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     ) as service:
         mutator = None
         if chain is not None:
-            import numpy as _np
-
-            chain.attach(service)
-            mutate_rng = _np.random.default_rng(args.mutate_seed)
-
-            def mutator(_mutation_index: int) -> None:
-                chain.update_edges(
-                    added=_random_edge_batch(
-                        mutate_rng, graph.num_nodes, args.mutate_edges
-                    )
-                )
-
+            mutator = _edge_mutator(
+                chain, service, args.mutate_seed, graph.num_nodes,
+                args.mutate_edges,
+            )
         report = run_load(
             service,
             schedule,

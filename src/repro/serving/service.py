@@ -18,6 +18,12 @@ behalf of many callers:
 5. **assemble** — each request's ``n x |Q|`` block is scattered
    together from the column map.
 
+Top-k requests (:meth:`CoSimRankService.serve_topk`) run the same
+pipeline: a top-k answer is a reduction of the same columns, so only
+the cache (:class:`~repro.serving.cache.TopKCache`), the evaluator (the
+blockwise top-k kernel), the span names and a few kind-only
+instruments differ.  Each seed is its own request.
+
 Exactness (``query_mode="exact"``, the default): because a column is a
 pure, batch-independent function of its seed (Theorem 3.5 + per-column
 evaluation in ``query_columns``), the service's output is
@@ -64,21 +70,24 @@ published ``approx_atol`` of the exact answer, entry by entry
 (:func:`~repro.core.index.truncation_atol`).  Tier traffic is
 accounted exactly once in ``csrplus_serve_tier_{exact,approx}_total``.
 
-Observability (docs/observability.md): every batch emits a
+Observability (docs/observability.md): every column batch emits a
 ``serve.batch`` span with nested ``serve.coalesce`` / ``serve.lookup``
 / ``serve.compute`` (plus one ``serve.compute.chunk`` per worker task
 and one ``serve.compute.retry`` per isolation retry) /
-``serve.assemble`` children, and the service maintains counters,
+``serve.assemble`` children; a top-k batch emits ``serve.topk`` with
+one ``serve.topk.compute`` child (``serve.topk.chunk`` /
+``serve.topk.retry`` beneath it).  The service maintains counters,
 gauges, and a per-batch latency histogram in a
 :class:`~repro.obs.metrics.MetricsRegistry`.
 :class:`~repro.serving.stats.ServingStats` snapshots are read straight
-from those instruments.  Batches slower than ``slow_query_seconds`` are
-logged on the ``repro.serving`` logger and kept in a bounded in-memory
-ring (:meth:`CoSimRankService.slow_queries`).
+from those instruments.  Column batches slower than
+``slow_query_seconds`` are logged on the ``repro.serving`` logger and
+kept in a bounded in-memory ring (:meth:`CoSimRankService.slow_queries`).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import logging
@@ -87,7 +96,8 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -103,13 +113,18 @@ from repro.errors import (
     ServiceOverloaded,
 )
 from repro.obs.latency import LatencyWindow
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Counter, Gauge, MetricsRegistry
 from repro.obs.tracing import Span, Tracer
 from repro.serving.admission import SeedBudget
-from repro.serving.cache import ColumnCache, TopKCache
+from repro.serving.cache import ColumnCache, TopKCache, _normalize_ranges
 from repro.serving.results import BatchResult, RequestOutcome
 from repro.core.config import QUERY_MODES
-from repro.serving.scheduler import chunk_seeds, effective_chunk_size, plan_batch
+from repro.serving.scheduler import (
+    BatchPlan,
+    chunk_seeds,
+    effective_chunk_size,
+    plan_batch,
+)
 from repro.serving.stats import ServingStats
 from repro.testing import faults
 
@@ -126,6 +141,108 @@ PHASES = ("coalesce", "lookup", "compute", "assemble")
 #: rank-truncated replica, ``"auto"`` serves exactly but downgrades a
 #: batch the budget would shed onto the replica (docs/approx.md).
 QUALITY_LEVELS = ("exact", "approx", "auto")
+
+#: Capacity of the live latency window behind
+#: :meth:`CoSimRankService.latency_percentiles` (most recent batches).
+LATENCY_WINDOW_SAMPLES = 1024
+
+#: The eight counter families each answer kind keeps, keyed by kind
+#: (the batch-id prefix): ``stat -> (family, HELP)``.  The stat names
+#: are also the keys :meth:`CoSimRankService.topk_stats` reports.
+_KIND_FAMILIES = {
+    "batch": {
+        "batches": ("csrplus_serve_batches_total", "serve_batch calls"),
+        "seeds": (
+            "csrplus_serve_seeds_requested_total",
+            "Seed columns returned, duplicates included",
+        ),
+        "hits": ("csrplus_serve_cache_hits_total", "Cache lookup hits"),
+        "misses": ("csrplus_serve_cache_misses_total", "Cache lookup misses"),
+        "evictions": (
+            "csrplus_serve_cache_evictions_total", "Columns evicted by LRU"
+        ),
+        "retries": (
+            "csrplus_serve_retries_total",
+            "Per-seed isolation retries after worker chunk failures",
+        ),
+        "deadline_exceeded": (
+            "csrplus_serve_deadline_exceeded_total",
+            "Batches whose deadline cancelled at least one seed column",
+        ),
+        "degraded_requests": (
+            "csrplus_serve_degraded_requests_total",
+            "Requests that failed while the rest of their batch was served",
+        ),
+    },
+    "topk": {
+        "batches": ("csrplus_topk_batches_total", "serve_topk calls"),
+        "seeds": (
+            "csrplus_topk_seeds_total",
+            "Top-k rankings returned, duplicates included",
+        ),
+        "hits": (
+            "csrplus_topk_cache_hits_total",
+            "Top-k lookups answered from a resident ranking",
+        ),
+        "misses": (
+            "csrplus_topk_cache_misses_total",
+            "Top-k lookups that needed a fresh blockwise scan",
+        ),
+        "evictions": (
+            "csrplus_topk_cache_evictions_total",
+            "Rankings evicted from the top-k LRU",
+        ),
+        "retries": (
+            "csrplus_topk_retries_total",
+            "Per-seed isolation retries after top-k chunk failures",
+        ),
+        "deadline_exceeded": (
+            "csrplus_topk_deadline_exceeded_total",
+            "serve_topk batches whose deadline cancelled at least one seed",
+        ),
+        "degraded_requests": (
+            "csrplus_topk_degraded_requests_total",
+            "Top-k requests that failed while the rest of their batch "
+            "was served",
+        ),
+    },
+}
+
+
+@dataclass(frozen=True)
+class _AnswerKind:
+    """What the one serving pipeline (``CoSimRankService._serve``)
+    varies by answer kind: similarity columns or top-k rankings."""
+
+    #: batch-id prefix, and this kind's key in :data:`_KIND_FAMILIES`
+    prefix: str
+    root_span: str
+    compute_span: str
+    #: parent name of the per-chunk ``.chunk`` / ``.retry`` spans
+    chunk_span: str
+    #: the exact-tier cache: ``lookup`` / ``insert(..., *key, version=)``
+    cache: Union[ColumnCache, TopKCache]
+    #: ``(backend, *key, seeds, mode, span) -> one answer per seed``
+    evaluate: Callable
+    #: ``(requests, num_nodes) -> BatchPlan``
+    plan: Callable[..., BatchPlan]
+    #: ``(plan, key) -> root-span attributes``
+    attributes: Callable[[BatchPlan, tuple], dict]
+    #: ``(seeds, answers, backend) -> one request's result``
+    build: Callable
+    #: the eight families of :data:`_KIND_FAMILIES`, by stat
+    metrics: Dict[str, Counter]
+    #: occupancy gauges, by ``cache.counters()`` key
+    gauges: Dict[str, Gauge]
+    #: column batches alone get phase spans and feed the request,
+    #: unique-seed, phase, latency and slow-query instruments; top-k
+    #: batches alone feed the pruning counters
+    columns: bool
+
+
+def _plan_seeds(seed_ids: np.ndarray, _num_nodes: int) -> BatchPlan:
+    """A top-k batch's plan: every (validated) seed is one request."""
+    return BatchPlan(tuple(seed_ids.reshape(-1, 1)), np.unique(seed_ids))
 
 
 class CoSimRankService:
@@ -212,10 +329,6 @@ class CoSimRankService:
         instrumentation to be enabled (spans provide the batch timing).
     slow_query_log_size:
         Capacity of the slow-query ring (oldest entries dropped).
-    latency_window_samples:
-        Ring capacity of the live latency window backing
-        :meth:`latency_percentiles` (exact p50/p95/p99 over the most
-        recent batches, independent of the bucketed histogram).
 
     Examples
     --------
@@ -248,15 +361,10 @@ class CoSimRankService:
         clock: Callable[[], float] = time.monotonic,
         slow_query_seconds: Optional[float] = None,
         slow_query_log_size: int = 64,
-        latency_window_samples: int = 1024,
     ):
         if max_workers is not None and max_workers < 1:
             raise InvalidParameterError(
                 f"max_workers must be >= 1 (or None for auto), got {max_workers}"
-            )
-        if chunk_size < 1:
-            raise InvalidParameterError(
-                f"chunk_size must be >= 1, got {chunk_size}"
             )
         if query_mode is not None and query_mode not in QUERY_MODES:
             raise InvalidParameterError(
@@ -272,6 +380,9 @@ class CoSimRankService:
             raise InvalidParameterError(
                 f"slow_query_log_size must be >= 1, got {slow_query_log_size}"
             )
+        self.query_mode = query_mode or index.config.query_mode
+        # also rejects chunk_size < 1
+        self.chunk_size = effective_chunk_size(chunk_size, self.query_mode)
         index.prepare()
         self.index = index
         # live-graph versioning (docs/dynamic.md): batches pin
@@ -281,8 +392,6 @@ class CoSimRankService:
         self._index_version = 0
         self._swap_lock = threading.Lock()
         self._publish_lock = threading.Lock()
-        self.query_mode = query_mode or index.config.query_mode
-        self.chunk_size = effective_chunk_size(chunk_size, self.query_mode)
         self.max_workers = int(max_workers or (os.cpu_count() or 1))
         self.slow_query_seconds = slow_query_seconds
         self._clock = clock
@@ -291,12 +400,7 @@ class CoSimRankService:
         )
         if approx_index is not None:
             approx_index.prepare()
-            if int(approx_index.num_nodes) != int(index.num_nodes):
-                raise InvalidParameterError(
-                    "approx_index must cover the same node set: serving "
-                    f"{index.num_nodes} nodes, replica has "
-                    f"{approx_index.num_nodes}"
-                )
+            self._check_node_set("approx_index", approx_index, index)
         # the replica is version-tagged alongside the exact index;
         # publish_index swaps both under _swap_lock (docs/approx.md)
         self._approx_index = approx_index
@@ -313,7 +417,7 @@ class CoSimRankService:
         # request-id mint: next(itertools.count()) is atomic under the
         # GIL, so concurrent batches get distinct monotone sequence ids
         self._batch_seq = itertools.count(1)
-        self.latency_window = LatencyWindow(max_samples=latency_window_samples)
+        self.latency_window = LatencyWindow(max_samples=LATENCY_WINDOW_SAMPLES)
         self._executor: Optional[ThreadPoolExecutor] = None
         self._executor_lock = threading.Lock()
         self._closed = False
@@ -321,58 +425,26 @@ class CoSimRankService:
         self.registry = registry if registry is not None else MetricsRegistry()
         self._tracer = tracer if tracer is not None else obs.get_tracer()
         reg = self.registry
+        metrics = {
+            kind: {
+                stat: reg.counter(name, help_text)
+                for stat, (name, help_text) in families.items()
+            }
+            for kind, families in _KIND_FAMILIES.items()
+        }
         self._m_requests = reg.counter(
             "csrplus_serve_requests_total", "Individual requests answered"
-        )
-        self._m_batches = reg.counter(
-            "csrplus_serve_batches_total", "serve_batch calls"
-        )
-        self._m_seeds = reg.counter(
-            "csrplus_serve_seeds_requested_total",
-            "Seed columns returned, duplicates included",
         )
         self._m_unique = reg.counter(
             "csrplus_serve_unique_seeds_total",
             "Distinct seeds looked up in the cache, summed per batch",
         )
-        self._m_hits = reg.counter(
-            "csrplus_serve_cache_hits_total", "Cache lookup hits"
-        )
-        self._m_misses = reg.counter(
-            "csrplus_serve_cache_misses_total", "Cache lookup misses"
-        )
-        self._m_evictions = reg.counter(
-            "csrplus_serve_cache_evictions_total", "Columns evicted by LRU"
-        )
-        self._m_cached_columns = reg.gauge(
-            "csrplus_serve_cache_columns", "Resident cached columns"
-        )
-        self._m_cache_bytes = reg.gauge(
-            "csrplus_serve_cache_bytes", "Bytes held by the column cache"
-        )
-        self._m_cache_capacity = reg.gauge(
+        reg.gauge(
             "csrplus_serve_cache_capacity", "Column cache capacity"
-        )
-        self._m_cache_capacity.set(self._cache.capacity)
-        self._m_integrity = reg.gauge(
-            "csrplus_serve_cache_integrity_failures",
-            "Cached columns dropped because their checksum no longer matched",
-        )
+        ).set(self._cache.capacity)
         self._m_shed = reg.counter(
             "csrplus_serve_shed_total",
             "Batches rejected by admission control (load shedding)",
-        )
-        self._m_deadline = reg.counter(
-            "csrplus_serve_deadline_exceeded_total",
-            "Batches whose deadline cancelled at least one seed column",
-        )
-        self._m_retries = reg.counter(
-            "csrplus_serve_retries_total",
-            "Per-seed isolation retries after worker chunk failures",
-        )
-        self._m_degraded = reg.counter(
-            "csrplus_serve_degraded_requests_total",
-            "Requests that failed while the rest of their batch was served",
         )
         self._m_phase = {
             phase: reg.counter(
@@ -389,28 +461,6 @@ class CoSimRankService:
             "csrplus_serve_slow_batches_total",
             "Batches slower than the slow-query threshold",
         )
-        self._m_topk_batches = reg.counter(
-            "csrplus_topk_batches_total", "serve_topk calls"
-        )
-        self._m_topk_seeds = reg.counter(
-            "csrplus_topk_seeds_total",
-            "Top-k rankings returned, duplicates included",
-        )
-        self._m_topk_hits = reg.counter(
-            "csrplus_topk_cache_hits_total",
-            "Top-k lookups answered from a resident ranking",
-        )
-        self._m_topk_misses = reg.counter(
-            "csrplus_topk_cache_misses_total",
-            "Top-k lookups that needed a fresh blockwise scan",
-        )
-        self._m_topk_evictions = reg.counter(
-            "csrplus_topk_cache_evictions_total",
-            "Rankings evicted from the top-k LRU",
-        )
-        self._m_topk_entries = reg.gauge(
-            "csrplus_topk_cache_entries", "Resident cached rankings"
-        )
         self._m_topk_candidates = reg.counter(
             "csrplus_topk_candidates_scored_total",
             "Candidates scored by the blockwise kernel (pruning visible "
@@ -424,27 +474,13 @@ class CoSimRankService:
             "csrplus_topk_blocks_skipped_total",
             "Row-blocks skipped by the norm bound",
         )
-        self._m_topk_retries = reg.counter(
-            "csrplus_topk_retries_total",
-            "Per-seed isolation retries after top-k chunk failures",
-        )
-        self._m_topk_deadline = reg.counter(
-            "csrplus_topk_deadline_exceeded_total",
-            "serve_topk batches whose deadline cancelled at least one seed",
-        )
-        self._m_topk_degraded = reg.counter(
-            "csrplus_topk_degraded_requests_total",
-            "Top-k requests that failed while the rest of their batch "
-            "was served",
-        )
         # info-style gauge: scrapes (and regressions) can attribute this
         # service's numbers to the mode that produced them
-        self._m_query_mode = reg.gauge(
+        reg.gauge(
             "csrplus_serve_query_mode",
             "Active column evaluation strategy (1 for the mode in use)",
             labels={"mode": self.query_mode},
-        )
-        self._m_query_mode.set(1)
+        ).set(1)
         self._m_index_version = reg.gauge(
             "csrplus_index_version",
             "Version of the index currently being served",
@@ -512,6 +548,63 @@ class CoSimRankService:
             "SeedBudget.release calls exceeding what was acquired "
             "(double-release accounting bugs, surfaced not swallowed)",
         )
+        self._batch = _AnswerKind(
+            prefix="batch",
+            root_span="serve.batch",
+            compute_span="serve.compute",
+            chunk_span="serve.compute",
+            cache=self._cache,
+            evaluate=self._columns,
+            plan=plan_batch,
+            attributes=lambda plan, _key: {
+                "requests": plan.num_requests,
+                "unique_seeds": int(plan.unique_seeds.size),
+            },
+            build=self._assemble,
+            metrics=metrics["batch"],
+            gauges={
+                "cached_columns": reg.gauge(
+                    "csrplus_serve_cache_columns", "Resident cached columns"
+                ),
+                "bytes_cached": reg.gauge(
+                    "csrplus_serve_cache_bytes", "Bytes held by the column cache"
+                ),
+                "integrity_failures": reg.gauge(
+                    "csrplus_serve_cache_integrity_failures",
+                    "Cached columns dropped because their checksum no longer "
+                    "matched",
+                ),
+            },
+            columns=True,
+        )
+        self._topk = _AnswerKind(
+            prefix="topk",
+            root_span="serve.topk",
+            compute_span="serve.topk.compute",
+            chunk_span="serve.topk",
+            cache=self._topk_cache,
+            evaluate=self._rankings,
+            plan=_plan_seeds,
+            attributes=lambda plan, key: {
+                "seeds": plan.num_requests, "k": key[0], "exclude_self": key[1]
+            },
+            build=lambda seeds, answers, _backend: answers[seeds[0]],
+            metrics=metrics["topk"],
+            gauges={
+                "cached_entries": reg.gauge(
+                    "csrplus_topk_cache_entries", "Resident cached rankings"
+                )
+            },
+            columns=False,
+        )
+
+    @staticmethod
+    def _check_node_set(what: str, candidate, index) -> None:
+        if int(candidate.num_nodes) != int(index.num_nodes):
+            raise InvalidParameterError(
+                f"{what} must cover the same node set: serving "
+                f"{index.num_nodes} nodes, got {candidate.num_nodes}"
+            )
 
     def _publish_approx_atol(self, replica) -> None:
         bound = getattr(replica, "approx_atol", None)
@@ -602,102 +695,14 @@ class CoSimRankService:
         ``"approx"``, see the ``quality`` parameter on
         :meth:`serve_batch`).
         """
-        self._check_request(deadline_s, quality)
-        started = self._clock()
-        deadline_at = started + deadline_s if deadline_s is not None else None
-        batch_id = f"batch-{next(self._batch_seq)}"
-        request_ids = [f"{batch_id}.{i}" for i in range(len(requests))]
-        index, version, replica = self._pin(quality)
-        tracer = self._tracer
-        with tracer.span("serve.batch", batch_id=batch_id) as batch_span:
-            with tracer.span("serve.coalesce") as coalesce_span:
-                plan = plan_batch(requests, index.num_nodes)
-            batch_span.set_attribute("requests", plan.num_requests)
-            batch_span.set_attribute("unique_seeds", int(plan.unique_seeds.size))
-            batch_span.set_attribute("query_mode", self.query_mode)
-            batch_span.set_attribute("index_version", version)
-            batch_span.set_attribute("request_ids", list(request_ids))
-            tier, charged = self._admit(quality, int(plan.unique_seeds.size), replica)
-            batch_span.set_attribute("tier", tier)
-            exact = tier == "exact"
-            backend = index if exact else replica
-            try:
-                with tracer.span("serve.lookup") as lookup_span:
-                    # replica columns never touch the exact cache
-                    hit_columns, missing = (
-                        self._cache.lookup(plan.unique_seeds, version=version)
-                        if exact
-                        else ({}, plan.unique_seeds.tolist())
-                    )
-                # captured now: assembly below merges fresh columns into
-                # the same dict, which would inflate the hit count
-                num_hits = len(hit_columns)
-
-                with tracer.span(
-                    "serve.compute",
-                    misses=len(missing),
-                    query_mode=self.query_mode,
-                ) as compute_span:
-                    fresh, failures, cancelled, retries = self._compute_missing(
-                        missing,
-                        self._columns_of(backend),
-                        "serve.compute",
-                        compute_span,
-                        deadline_at,
-                    )
-                    evicted = (
-                        self._cache.insert(fresh, version=version) if exact else 0
-                    )
-
-                with tracer.span("serve.assemble") as assemble_span:
-                    column_map = hit_columns
-                    column_map.update(fresh)
-                    outcomes = self._assemble_outcomes(
-                        [[int(seed) for seed in ids] for ids in plan.request_ids],
-                        column_map,
-                        failures,
-                        cancelled,
-                        lambda seeds: self._assemble(seeds, column_map, backend),
-                        deadline_s=deadline_s,
-                        started=started,
-                        request_ids=request_ids,
-                        tier=tier,
-                    )
-            finally:
-                self._budget.release(charged)
-
-        num_failed = sum(1 for outcome in outcomes if not outcome.ok)
-        self._record_batch(
-            plan,
-            tier=tier,
-            hits=num_hits,
-            misses=len(missing),
-            evicted=evicted,
-            retries=retries,
-            num_failed=num_failed,
-            deadline_hit=bool(cancelled),
-            batch_span=batch_span,
-            batch_id=batch_id,
-            request_ids=request_ids,
-            phase_spans={
-                "coalesce": coalesce_span,
-                "lookup": lookup_span,
-                "compute": compute_span,
-                "assemble": assemble_span,
-            },
-        )
-        return BatchResult(
-            outcomes=outcomes,
-            retries=retries,
-            failed_seeds=failures,
-            cancelled_seeds=tuple(cancelled),
-            batch_id=batch_id,
-        )
+        return self._serve(self._batch, requests, deadline_s, quality)
 
     # ------------------------------------------------------------------
     # tier selection (docs/approx.md)
     # ------------------------------------------------------------------
     def _check_request(self, deadline_s: Optional[float], quality: str) -> None:
+        if self._closed:
+            raise InvalidParameterError("service is closed")
         if deadline_s is not None and deadline_s <= 0:
             raise InvalidParameterError(
                 f"deadline_s must be > 0 (or None), got {deadline_s}"
@@ -706,21 +711,12 @@ class CoSimRankService:
             raise InvalidParameterError(
                 f"quality must be one of {QUALITY_LEVELS}, got {quality!r}"
             )
-
-    def _pin(self, quality: str):
-        """``(index, version, replica)`` for one whole batch.
-
-        Pinned under ``_swap_lock``: a ``publish_index`` racing with the
-        batch never mixes versions inside one answer.
-        """
-        with self._swap_lock:
-            pinned = (self.index, self._index_version, self._approx_index)
-        if quality == "approx" and pinned[2] is None:
+        # unlocked read: publish_index never detaches a replica
+        if quality == "approx" and self._approx_index is None:
             raise InvalidParameterError(
                 'quality="approx" requires an approx_index replica '
                 "(pass approx_index= to the service constructor)"
             )
-        return pinned
 
     def _admit(self, quality: str, num_seeds: int, replica) -> Tuple[str, int]:
         """Pick a batch's tier: ``(tier, seeds charged to the budget)``.
@@ -813,107 +809,127 @@ class CoSimRankService:
         """
         if k < 1:
             raise InvalidParameterError(f"k must be >= 1, got {k}")
+        seed_ids = normalize_queries(seeds, self.index.num_nodes)
+        return self._serve(
+            self._topk, seed_ids, deadline_s, quality,
+            key=(int(k), bool(exclude_self)),
+        )
+
+    # ------------------------------------------------------------------
+    # the serving pipeline
+    # ------------------------------------------------------------------
+    def _serve(
+        self,
+        kind: _AnswerKind,
+        requests,
+        deadline_s: Optional[float],
+        quality: str,
+        key: tuple = (),
+    ) -> BatchResult:
+        """Serve one batch of ``kind``: check → pin → coalesce → admit →
+        lookup → compute → assemble → record.
+
+        ``key`` is the per-call part of the cache key and evaluator
+        arguments: ``()`` for columns, ``(k, exclude_self)`` for top-k.
+        """
         self._check_request(deadline_s, quality)
         started = self._clock()
         deadline_at = started + deadline_s if deadline_s is not None else None
-        index, version, replica = self._pin(quality)
-        seed_ids = normalize_queries(seeds, index.num_nodes)
-        batch_id = f"topk-{next(self._batch_seq)}"
-        request_ids = [f"{batch_id}.{i}" for i in range(int(seed_ids.size))]
+        # pinned for the whole batch: a publish_index racing with it
+        # never mixes versions inside one answer
+        with self._swap_lock:
+            index, version = self.index, self._index_version
+            replica = self._approx_index
+        batch_id = f"{kind.prefix}-{next(self._batch_seq)}"
+        request_ids = [f"{batch_id}.{i}" for i in range(len(requests))]
         tracer = self._tracer
-        with tracer.span(
-            "serve.topk",
-            seeds=int(seed_ids.size),
-            k=int(k),
-            exclude_self=bool(exclude_self),
-            query_mode=self.query_mode,
-            batch_id=batch_id,
-            index_version=version,
-            request_ids=list(request_ids),
-        ) as topk_span:
-            unique = np.unique(seed_ids)
-            tier, charged = self._admit(quality, int(unique.size), replica)
-            topk_span.set_attribute("tier", tier)
+        # column batches time each phase in its own span; a top-k
+        # batch's root holds only its compute span
+        phase = tracer.span if kind.columns else lambda _name: obs.NULL_SPAN
+        with tracer.span(kind.root_span, batch_id=batch_id) as batch_span:
+            with phase("serve.coalesce") as coalesce_span:
+                plan = kind.plan(requests, index.num_nodes)
+            for name, value in kind.attributes(plan, key).items():
+                batch_span.set_attribute(name, value)
+            batch_span.set_attribute("query_mode", self.query_mode)
+            batch_span.set_attribute("index_version", version)
+            batch_span.set_attribute("request_ids", list(request_ids))
+            tier, charged = self._admit(quality, int(plan.unique_seeds.size), replica)
+            batch_span.set_attribute("tier", tier)
             exact = tier == "exact"
+            backend = index if exact else replica
             try:
-                # replica rankings never touch the exact top-k cache
-                hit_results, missing = (
-                    self._topk_cache.lookup(
-                        unique, int(k), exclude_self, version=version
+                with phase("serve.lookup") as lookup_span:
+                    # replica answers never touch the exact caches
+                    answers, missing = (
+                        kind.cache.lookup(plan.unique_seeds, *key, version=version)
+                        if exact
+                        else ({}, plan.unique_seeds.tolist())
                     )
-                    if exact
-                    else ({}, unique.tolist())
-                )
-                num_hits = len(hit_results)
+                # captured now: assembly below merges fresh answers into
+                # the same dict, which would inflate the hit count
+                num_hits = len(answers)
+
                 with tracer.span(
-                    "serve.topk.compute",
+                    kind.compute_span,
                     misses=len(missing),
                     query_mode=self.query_mode,
                 ) as compute_span:
                     fresh, failures, cancelled, retries = self._compute_missing(
                         missing,
-                        self._rankings_of(
-                            index if exact else replica, int(k), exclude_self
-                        ),
-                        "serve.topk",
+                        functools.partial(kind.evaluate, backend, *key),
+                        kind.chunk_span,
                         compute_span,
                         deadline_at,
                     )
                     evicted = (
-                        self._topk_cache.insert(
-                            fresh, int(k), exclude_self, version=version
-                        )
+                        kind.cache.insert(fresh, *key, version=version)
                         if exact
                         else 0
                     )
-                result_map = dict(hit_results)
-                result_map.update(fresh)
-                outcomes = self._assemble_outcomes(
-                    [[int(seed)] for seed in seed_ids],
-                    result_map,
-                    failures,
-                    cancelled,
-                    lambda seeds: result_map[seeds[0]],
-                    deadline_s=deadline_s,
-                    started=started,
-                    request_ids=request_ids,
-                    tier=tier,
-                )
+
+                with phase("serve.assemble") as assemble_span:
+                    answers.update(fresh)
+                    cancelled_set = set(cancelled)
+                    outcomes = []
+                    for request_id, ids in zip(request_ids, plan.request_ids):
+                        # the request's result, or the typed reason why not
+                        outcome = RequestOutcome(request_id=request_id, tier=tier)
+                        needed = [int(seed) for seed in ids]
+                        unavailable = [s for s in needed if s not in answers]
+                        if not unavailable:
+                            outcome.result = kind.build(needed, answers, backend)
+                        elif not cancelled_set.isdisjoint(unavailable):
+                            outcome.error = DeadlineExceeded(
+                                deadline_s or 0.0,
+                                self._clock() - started,
+                                completed_seeds=len(answers),
+                                cancelled_seeds=len(cancelled_set),
+                            )
+                        else:
+                            outcome.error = failures[unavailable[0]]
+                        outcomes.append(outcome)
             finally:
                 self._budget.release(charged)
 
-        with self._stats_lock:
-            self._m_topk_batches.inc()
-            self._m_topk_seeds.inc(int(seed_ids.size))
-            if exact:
-                self._m_tier_exact.inc(int(seed_ids.size))
-                self._m_topk_hits.inc(num_hits)
-                self._m_topk_misses.inc(len(missing))
-                self._m_topk_evictions.inc(evicted)
-            else:
-                self._m_tier_approx.inc(int(seed_ids.size))
-                self._m_approx_batches.inc()
-                self._m_approx_seeds.inc(int(unique.size))
-            self._m_topk_retries.inc(retries)
-            self._m_topk_degraded.inc(
-                sum(1 for outcome in outcomes if not outcome.ok)
-            )
-            if cancelled:
-                self._m_topk_deadline.inc()
-            for result in fresh.values():
-                self._m_topk_candidates.inc(result.candidates_scored)
-                self._m_topk_blocks_scanned.inc(result.blocks_scanned)
-                self._m_topk_blocks_skipped.inc(result.blocks_skipped)
-            self._m_topk_entries.set(
-                self._topk_cache.counters()["cached_entries"]
-            )
-        return BatchResult(
+        result = BatchResult(
             outcomes=outcomes,
             retries=retries,
             failed_seeds=failures,
             cancelled_seeds=tuple(cancelled),
             batch_id=batch_id,
         )
+        self._record_batch(
+            kind, plan, result, tier=tier, hits=num_hits, evicted=evicted,
+            fresh=fresh, batch_span=batch_span,
+            phase_seconds={
+                phase: span.wall_seconds
+                for phase, span in zip(PHASES, (
+                    coalesce_span, lookup_span, compute_span, assemble_span
+                ))
+            },
+        )
+        return result
 
     # ------------------------------------------------------------------
     # internals
@@ -943,143 +959,93 @@ class CoSimRankService:
         failures: Dict[int, ReproError] = {}
         cancelled: List[int] = []
         retries = 0
-        if not missing:
-            return answers, failures, cancelled, retries
-        chunks = chunk_seeds(missing, self.chunk_size)
 
-        def run_chunk(chunk):
-            # cooperative cancellation: a chunk that has not started by
-            # the deadline is abandoned, not computed late
+        def run(chunk, mode, suffix, **attributes):
+            # cooperative cancellation: work that has not started by the
+            # deadline is abandoned, not computed late
             if deadline_at is not None and self._clock() >= deadline_at:
-                return ("cancelled", None)
+                return "cancelled", None
             # Explicit parent: worker threads have no open span of their
             # own, so the chunk spans nest under this batch's compute
             # span instead of becoming disconnected roots.
             with self._tracer.span(
-                f"{span_name}.chunk", parent=parent_span, seeds=len(chunk)
-            ) as chunk_span:
+                f"{span_name}.{suffix}", parent=parent_span, **attributes
+            ) as span:
                 try:
-                    faults.fire(
-                        "compute.chunk", seeds=[int(s) for s in chunk]
-                    )
-                    return ("ok", evaluate(chunk, self.query_mode, chunk_span))
+                    faults.fire("compute.chunk", seeds=[int(s) for s in chunk])
+                    return "ok", evaluate(chunk, mode, span)
                 except Exception as exc:  # isolated below, per seed
-                    return ("error", exc)
+                    return "error", exc
 
-        if self.max_workers == 1 or len(chunks) == 1:
+        def run_chunk(chunk):
+            return run(chunk, self.query_mode, "chunk", seeds=len(chunk))
+
+        chunks = chunk_seeds(missing, self.chunk_size)
+        if self.max_workers == 1 or len(chunks) <= 1:
             outcomes = [run_chunk(chunk) for chunk in chunks]
         else:
             outcomes = list(self._get_executor().map(run_chunk, chunks))
 
-        failed_chunks = []
+        failed: List[int] = []
         for chunk, (status, payload) in zip(chunks, outcomes):
+            seeds = [int(seed) for seed in chunk]
             if status == "ok":
-                answers.update(zip((int(seed) for seed in chunk), payload))
+                answers.update(zip(seeds, payload))
             elif status == "cancelled":
-                cancelled.extend(int(seed) for seed in chunk)
+                cancelled.extend(seeds)
             else:
-                failed_chunks.append(chunk)
+                failed.extend(seeds)
 
         # graceful degradation: a failed chunk is retried seed by seed,
-        # so one poisonous seed cannot take its chunk-mates down with it
-        for chunk in failed_chunks:
-            for seed in chunk:
-                seed = int(seed)
-                if deadline_at is not None and self._clock() >= deadline_at:
-                    cancelled.append(seed)
-                    continue
-                retries += 1
-                with self._tracer.span(
-                    f"{span_name}.retry", parent=parent_span, seed=seed
-                ) as retry_span:
-                    try:
-                        faults.fire("compute.chunk", seeds=[seed])
-                        # isolation retries are single-seed, where the
-                        # batched GEMM degenerates to the exact GEMV —
-                        # use exact so a retried answer is canonical
-                        answers[seed] = evaluate([seed], "exact", retry_span)[0]
-                    except Exception as exc:
-                        error = ColumnComputeFailed(
-                            seed, str(exc) or type(exc).__name__
-                        )
-                        error.__cause__ = exc
-                        failures[seed] = error
+        # so one poisonous seed cannot take its chunk-mates down with it.
+        # Isolation retries are single-seed, where the batched GEMM
+        # degenerates to the exact GEMV — use exact so a retried answer
+        # is canonical.
+        for seed in failed:
+            status, payload = run([seed], "exact", "retry", seed=seed)
+            if status == "cancelled":
+                cancelled.append(seed)
+                continue
+            retries += 1
+            if status == "ok":
+                answers[seed] = payload[0]
+            else:
+                error = ColumnComputeFailed(
+                    seed, str(payload) or type(payload).__name__
+                )
+                error.__cause__ = payload
+                failures[seed] = error
         return answers, failures, cancelled, retries
 
     @staticmethod
-    def _columns_of(index) -> Callable[[List[int], str, Span], list]:
-        """:meth:`_compute_missing`'s ``evaluate`` for similarity columns."""
+    def _columns(index, seeds, mode: str, _span) -> list:
+        """One similarity column per seed (a column batch's evaluator)."""
+        block = index.query_columns(seeds, mode=mode)
+        # copy: a column view would pin the whole chunk block in
+        # memory for as long as the cache retains any one column
+        return [block[:, j].copy() for j in range(len(seeds))]
 
-        def evaluate(seeds, mode, _span):
-            block = index.query_columns(seeds, mode=mode)
-            # copy: a column view would pin the whole chunk block in
-            # memory for as long as the cache retains any one column
-            return [block[:, j].copy() for j in range(len(seeds))]
-
-        return evaluate
-
-    def _rankings_of(
-        self, index, k: int, exclude_self: bool
-    ) -> Callable[[List[int], str, Span], list]:
-        """:meth:`_compute_missing`'s ``evaluate`` for top-k rankings."""
-
-        def evaluate(seeds, mode, span):
-            # backends that rank remotely (a PooledIndex fans the chunk
-            # to a worker process, keeping the blockwise scan next to
-            # the shard bytes) expose top_k_chunk; everything else runs
-            # the kernel here
-            if hasattr(index, "top_k_chunk"):
-                return index.top_k_chunk(
-                    seeds, k, exclude_self=exclude_self, mode=mode
-                )
-            return top_k_blockwise(
-                index,
-                seeds,
-                k,
-                exclude_self=exclude_self,
-                mode=mode,
-                tracer=self._tracer,
-                parent_span=span,
+    def _rankings(
+        self, index, k: int, exclude_self: bool, seeds, mode: str, span
+    ) -> list:
+        """One top-``k`` ranking per seed (a top-k batch's evaluator)."""
+        # backends that rank remotely (a PooledIndex fans the chunk
+        # to a worker process, keeping the blockwise scan next to
+        # the shard bytes) expose top_k_chunk; everything else runs
+        # the kernel here
+        if hasattr(index, "top_k_chunk"):
+            return index.top_k_chunk(
+                seeds, k, exclude_self=exclude_self, mode=mode
             )
-
-        return evaluate
-
-    def _assemble_outcomes(
-        self,
-        needs: List[List[int]],
-        answers: Dict[int, object],
-        failures: Dict[int, ReproError],
-        cancelled: List[int],
-        build: Callable[[List[int]], object],
-        *,
-        deadline_s: Optional[float],
-        started: float,
-        request_ids: List[str],
-        tier: str,
-    ) -> List[RequestOutcome]:
-        """One outcome per request — ``build`` over the answers for the
-        seeds it ``needs``, or the typed reason why not."""
-        cancelled_set = set(cancelled)
-        outcomes: List[RequestOutcome] = []
-        for request_id, needed in zip(request_ids, needs):
-            unavailable = [seed for seed in needed if seed not in answers]
-            if not unavailable:
-                fate = {"result": build(needed)}
-            elif any(seed in cancelled_set for seed in unavailable):
-                fate = {
-                    "error": DeadlineExceeded(
-                        deadline_s if deadline_s is not None else 0.0,
-                        self._clock() - started,
-                        completed_seeds=len(answers),
-                        cancelled_seeds=len(cancelled_set),
-                    )
-                }
-            else:
-                fate = {"error": failures[unavailable[0]]}
-            outcomes.append(
-                RequestOutcome(request_id=request_id, tier=tier, **fate)
-            )
-        return outcomes
+        return top_k_blockwise(
+            index,
+            seeds,
+            k,
+            exclude_self=exclude_self,
+            mode=mode,
+            tracer=self._tracer,
+            parent_span=span,
+        )
 
     @staticmethod
     def _assemble(
@@ -1094,65 +1060,70 @@ class CoSimRankService:
 
     def _record_batch(
         self,
-        plan,
+        kind: _AnswerKind,
+        plan: BatchPlan,
+        result: BatchResult,
         *,
         tier: str,
         hits: int,
-        misses: int,
         evicted: int,
-        retries: int,
-        num_failed: int,
-        deadline_hit: bool,
+        fresh: Dict[int, object],
         batch_span,
-        batch_id: Optional[str] = None,
-        request_ids: Optional[List[str]] = None,
-        phase_spans,
+        phase_seconds: Dict[str, float],
     ) -> None:
-        """Fold one batch's outcome into the registry (consistent snapshot)."""
-        cache = self._cache.counters()
+        """Fold one batch's outcome into the registry (consistent snapshot).
+
+        The only place batch metrics are recorded, for both kinds.
+        """
+        metrics = kind.metrics
+        unique = int(plan.unique_seeds.size)
+        misses = unique - hits  # every distinct seed is a hit or a miss
         with self._stats_lock:
-            self._m_batches.inc()
-            self._m_requests.inc(plan.num_requests)
-            self._m_seeds.inc(plan.seeds_requested)
+            metrics["batches"].inc()
+            metrics["seeds"].inc(plan.seeds_requested)
             if tier == "exact":
                 self._m_tier_exact.inc(plan.num_requests)
-                self._m_unique.inc(int(plan.unique_seeds.size))
-                self._m_hits.inc(hits)
-                self._m_misses.inc(misses)
-                self._m_evictions.inc(evicted)
+                metrics["hits"].inc(hits)
+                metrics["misses"].inc(misses)
+                metrics["evictions"].inc(evicted)
             else:
                 self._m_tier_approx.inc(plan.num_requests)
                 self._m_approx_batches.inc()
-                self._m_approx_seeds.inc(int(plan.unique_seeds.size))
-            self._m_retries.inc(retries)
-            self._m_degraded.inc(num_failed)
-            if deadline_hit:
-                self._m_deadline.inc()
-            self._m_cached_columns.set(cache["cached_columns"])
-            self._m_cache_bytes.set(cache["bytes_cached"])
-            self._m_integrity.set(cache["integrity_failures"])
-            for phase, span in phase_spans.items():
-                self._m_phase[phase].inc(span.wall_seconds)
-            if batch_span is not obs.NULL_SPAN:
-                self._m_batch_seconds.observe(batch_span.wall_seconds)
-                self.latency_window.observe(batch_span.wall_seconds)
+                self._m_approx_seeds.inc(unique)
+            metrics["retries"].inc(result.retries)
+            metrics["degraded_requests"].inc(result.num_failed)
+            if result.cancelled_seeds:
+                metrics["deadline_exceeded"].inc()
+            self._refresh_gauges(kind)
+            if kind.columns:
+                self._m_requests.inc(plan.num_requests)
+                if tier == "exact":
+                    self._m_unique.inc(unique)
+                for phase, seconds in phase_seconds.items():
+                    self._m_phase[phase].inc(seconds)
+                if batch_span is not obs.NULL_SPAN:
+                    self._m_batch_seconds.observe(batch_span.wall_seconds)
+                    self.latency_window.observe(batch_span.wall_seconds)
+            else:
+                for ranking in fresh.values():
+                    self._m_topk_candidates.inc(ranking.candidates_scored)
+                    self._m_topk_blocks_scanned.inc(ranking.blocks_scanned)
+                    self._m_topk_blocks_skipped.inc(ranking.blocks_skipped)
         if (
-            self.slow_query_seconds is not None
+            kind.columns
+            and self.slow_query_seconds is not None
             and batch_span.wall_seconds >= self.slow_query_seconds
         ):
             entry = {
-                "batch_id": batch_id,
-                "request_ids": list(request_ids or []),
+                "batch_id": result.batch_id,
+                "request_ids": [outcome.request_id for outcome in result.outcomes],
                 "tier": tier,
                 "seconds": batch_span.wall_seconds,
                 "requests": plan.num_requests,
-                "unique_seeds": int(plan.unique_seeds.size),
+                "unique_seeds": unique,
                 "hits": hits,
                 "misses": misses,
-                "phases": {
-                    phase: span.wall_seconds
-                    for phase, span in phase_spans.items()
-                },
+                "phases": phase_seconds,
             }
             with self._stats_lock:
                 self._m_slow.inc()
@@ -1160,17 +1131,24 @@ class CoSimRankService:
             # structured JSON so log pipelines can join the slow batch
             # with its trace span and outcomes by batch_id/request_ids;
             # the "slow batch" event name is the stable grep handle
-            logger.warning(
-                "%s",
-                json.dumps(
-                    {
-                        "event": "slow batch",
-                        "threshold_seconds": self.slow_query_seconds,
-                        **entry,
-                    },
-                    sort_keys=False,
-                ),
-            )
+            logger.warning("%s", json.dumps({
+                "event": "slow batch",
+                "threshold_seconds": self.slow_query_seconds,
+                **entry,
+            }))
+
+    @staticmethod
+    def _counts(kind: _AnswerKind) -> Dict[str, int]:
+        """``kind``'s eight per-kind counters, by stat."""
+        return {stat: int(counter.value) for stat, counter in kind.metrics.items()}
+
+    def _refresh_gauges(self, kind: _AnswerKind) -> Dict[str, int]:
+        """Set ``kind``'s occupancy gauges from one cache snapshot and
+        return it.  Caller holds ``_stats_lock``."""
+        counts = kind.cache.counters()
+        for stat, gauge in kind.gauges.items():
+            gauge.set(counts[stat])
+        return counts
 
     def _get_executor(self) -> ThreadPoolExecutor:
         with self._executor_lock:
@@ -1256,21 +1234,11 @@ class CoSimRankService:
             new_index.prepare()
         if approx_index is not None:
             approx_index.prepare()
-            if int(approx_index.num_nodes) != int(new_index.num_nodes):
-                raise InvalidParameterError(
-                    "published approx_index must cover the same node set: "
-                    f"index has {new_index.num_nodes} nodes, replica has "
-                    f"{approx_index.num_nodes}"
-                )
+            self._check_node_set("published approx_index", approx_index, new_index)
         started = self._clock()
         with self._publish_lock:
             old_index = self.index
-            if int(new_index.num_nodes) != int(old_index.num_nodes):
-                raise InvalidParameterError(
-                    "publish_index requires an index over the same node "
-                    f"set: serving {old_index.num_nodes} nodes, got "
-                    f"{new_index.num_nodes}"
-                )
+            self._check_node_set("published index", new_index, old_index)
             if np.dtype(new_index.dtype) != np.dtype(old_index.dtype):
                 raise InvalidParameterError(
                     "publish_index requires the serving dtype to match: "
@@ -1279,11 +1247,7 @@ class CoSimRankService:
                 )
             if dirty_ranges is None:
                 dirty_ranges = self._infer_dirty_ranges(old_index, new_index)
-            ranges = tuple(
-                (int(start), int(stop))
-                for start, stop in dirty_ranges
-                if int(stop) > int(start)
-            )
+            ranges = _normalize_ranges(dirty_ranges)
             with self._tracer.span(
                 "index.swap",
                 from_version=self._index_version,
@@ -1339,17 +1303,9 @@ class CoSimRankService:
         if old_u.shape != new_u.shape or old_z.shape != new_z.shape:
             return ((0, n),)
         dirty = np.any(old_z != new_z, axis=1) | np.any(old_u != new_u, axis=1)
-        ranges: List[Tuple[int, int]] = []
-        start = None
-        for row in range(n):
-            if dirty[row] and start is None:
-                start = row
-            elif not dirty[row] and start is not None:
-                ranges.append((start, row))
-                start = None
-        if start is not None:
-            ranges.append((start, n))
-        return tuple(ranges)
+        # run boundaries: where the padded dirty mask flips
+        edges = np.flatnonzero(np.diff(np.concatenate(([0], dirty, [0]))))
+        return tuple(zip(edges[0::2].tolist(), edges[1::2].tolist()))
 
     @staticmethod
     def _make_row_patcher(index):
@@ -1402,26 +1358,18 @@ class CoSimRankService:
         ``csrplus_serve_*`` instruments), so this dataclass and a
         Prometheus scrape of :attr:`registry` always agree.
         """
-        cache = self._cache.counters()
         with self._stats_lock:
-            self._m_cached_columns.set(cache["cached_columns"])
-            self._m_cache_bytes.set(cache["bytes_cached"])
-            self._m_integrity.set(cache["integrity_failures"])
+            cache = self._refresh_gauges(self._batch)
+            counts = self._counts(self._batch)
             return ServingStats(
+                seeds_requested=counts.pop("seeds"),
+                **counts,
                 requests=int(self._m_requests.value),
-                batches=int(self._m_batches.value),
-                seeds_requested=int(self._m_seeds.value),
                 unique_seeds=int(self._m_unique.value),
-                hits=int(self._m_hits.value),
-                misses=int(self._m_misses.value),
-                evictions=int(self._m_evictions.value),
                 cached_columns=cache["cached_columns"],
                 bytes_cached=cache["bytes_cached"],
                 cache_capacity=self._cache.capacity,
-                retries=int(self._m_retries.value),
                 shed=int(self._m_shed.value),
-                deadline_exceeded=int(self._m_deadline.value),
-                degraded_requests=int(self._m_degraded.value),
                 cache_integrity_failures=cache["integrity_failures"],
                 lookup_seconds=self._m_phase["lookup"].value,
                 compute_seconds=self._m_phase["compute"].value,
@@ -1435,23 +1383,15 @@ class CoSimRankService:
 
     def topk_stats(self) -> Dict[str, int]:
         """A consistent snapshot of the ``csrplus_topk_*`` instruments."""
-        cache = self._topk_cache.counters()
         with self._stats_lock:
-            self._m_topk_entries.set(cache["cached_entries"])
+            cache = self._refresh_gauges(self._topk)
             return {
-                "batches": int(self._m_topk_batches.value),
-                "seeds": int(self._m_topk_seeds.value),
-                "hits": int(self._m_topk_hits.value),
-                "misses": int(self._m_topk_misses.value),
-                "evictions": int(self._m_topk_evictions.value),
+                **self._counts(self._topk),
                 "cached_entries": cache["cached_entries"],
                 "bytes_cached": cache["bytes_cached"],
                 "candidates_scored": int(self._m_topk_candidates.value),
                 "blocks_scanned": int(self._m_topk_blocks_scanned.value),
                 "blocks_skipped": int(self._m_topk_blocks_skipped.value),
-                "retries": int(self._m_topk_retries.value),
-                "deadline_exceeded": int(self._m_topk_deadline.value),
-                "degraded_requests": int(self._m_topk_degraded.value),
             }
 
     def slow_queries(self) -> List[dict]:
@@ -1466,7 +1406,7 @@ class CoSimRankService:
         LatencyWindow` (raw samples), so unlike
         ``csrplus_serve_batch_seconds`` quantiles the values carry no
         bucket-interpolation error — at the cost of covering only the
-        window's last ``latency_window_samples`` batches.  All ``nan``
+        window's last :data:`LATENCY_WINDOW_SAMPLES` batches.  All ``nan``
         when instrumentation is disabled or no batch has completed.
         """
         return self.latency_window.snapshot()
@@ -1477,7 +1417,12 @@ class CoSimRankService:
         self._topk_cache.clear()
 
     def close(self) -> None:
-        """Shut down the worker pool (idempotent)."""
+        """Shut down the worker pool (idempotent).
+
+        Every later ``serve_*`` call raises
+        :class:`~repro.errors.InvalidParameterError` at entry, whatever
+        its size or the worker count.
+        """
         with self._executor_lock:
             self._closed = True
             executor, self._executor = self._executor, None

@@ -127,6 +127,25 @@ class TestStatsAndLifecycle:
         service.close()
         service.close()
 
+    @pytest.mark.parametrize("kind", ["columns", "topk"])
+    @pytest.mark.parametrize("seeds", [[0], [0, 1, 2, 3, 4]])
+    @pytest.mark.parametrize("max_workers", [1, 2])
+    def test_closed_service_rejects_every_call(
+        self, index, kind, seeds, max_workers
+    ):
+        # chunk_size=2: five seeds span three chunks, one seed one chunk
+        service = CoSimRankService(
+            index, chunk_size=2, max_workers=max_workers
+        )
+        service.close()
+        with pytest.raises(InvalidParameterError, match="service is closed"):
+            if kind == "columns":
+                service.serve_batch_detailed([seeds])
+            else:
+                service.serve_topk_detailed(seeds, 3)
+        assert service.stats().batches == 0
+        assert service.topk_stats()["batches"] == 0
+
 
 class TestValidation:
     def test_out_of_range_seed_rejected(self, index):
