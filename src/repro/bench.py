@@ -11,9 +11,11 @@ loadgen pass (:mod:`repro.serving.loadgen`) — and writes them as a
 * the payload is versioned (``schema: csrplus-bench/v1``) and records
   the workload and environment that produced it, so apples are only
   ever compared to apples;
-* ``csrplus bench --compare prior.json`` re-runs the suite and exits
-  nonzero when any metric regresses beyond the tolerance — the CI
-  perf-smoke lane and local pre-merge checks both gate on this.
+* ``csrplus bench --compare prior.json`` re-runs the suite, refuses a
+  baseline whose workload, CPU count or BLAS thread count differs
+  (:func:`check_comparable`), and exits nonzero when any metric
+  regresses beyond the tolerance — the CI perf-smoke lane and local
+  pre-merge checks both gate on this.
 
 Snapshots committed under ``benchmarks/trajectory/`` form the repo's
 perf trajectory; see docs/observability.md for the reading guide.
@@ -52,6 +54,7 @@ __all__ = [
     "run_bench",
     "write_snapshot",
     "load_snapshot",
+    "check_comparable",
     "compare_snapshots",
     "render_comparison",
 ]
@@ -65,13 +68,20 @@ SCHEMA = "csrplus-bench/v1"
 #: the CI-runner jitter floor for sub-second kernels).
 DEFAULT_TOLERANCE = 0.25
 
+#: Snapshot keys that must be present and equal on both sides of a
+#: comparison: the workload block, and the environment entries that
+#: move the timings.
+COMPARABLE_KEYS = ("workload", "cpus", "blas_threads")
+
 
 def _environment() -> Dict[str, str]:
     import scipy
 
     from repro.core.index import available_cpus
+    from repro.linalg.blas import blas_threads
 
     cpus = available_cpus()
+    threads = blas_threads()
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
@@ -81,6 +91,8 @@ def _environment() -> Dict[str, str]:
         "cpus": str(cpus),
         # threads a large exact query_columns call fans out to
         "kernel_workers": str(cpus),
+        # threads of the loaded OpenBLAS outside single-threaded blocks
+        "blas_threads": "unknown" if threads is None else str(threads),
     }
 
 
@@ -386,6 +398,34 @@ def load_snapshot(path: str) -> Dict[str, object]:
     if not isinstance(payload.get("metrics"), dict):
         raise GraphFormatError(f"{path!r} has no metrics section")
     return payload
+
+
+def check_comparable(old: Dict[str, object], new: Dict[str, object]) -> None:
+    """Refuse to compare snapshots of different workloads or machines.
+
+    Raises :class:`~repro.errors.InvalidParameterError` naming every key
+    of :data:`COMPARABLE_KEYS` (``workload``, and ``cpus`` /
+    ``blas_threads`` from the ``environment`` block) that differs
+    between ``old`` and ``new`` or is missing from either.
+    """
+
+    def value(payload: Dict[str, object], key: str):
+        source = payload if key == "workload" else payload.get("environment")
+        if not isinstance(source, dict) or source.get(key) is None:
+            return None
+        # JSON round trip: a fresh payload holds tuples where a loaded
+        # one holds lists
+        return json.loads(json.dumps(source[key]))
+
+    differing = [
+        key for key in COMPARABLE_KEYS
+        if value(old, key) is None or value(old, key) != value(new, key)
+    ]
+    if differing:
+        raise InvalidParameterError(
+            "baseline snapshot is not comparable with this run; "
+            f"differing or missing: {', '.join(differing)}"
+        )
 
 
 def compare_snapshots(

@@ -38,21 +38,154 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 import time
+from contextlib import contextmanager
 from typing import List, Optional
 
 from repro.core.config import CSRPlusConfig
 from repro.core.index import CSRPlusIndex, replica_rank
 from repro.datasets.registry import dataset_keys, load_dataset, paper_table
-from repro.errors import ReproError
+from repro.errors import InvalidParameterError, ReproError
 from repro.experiments.report import render_table
 from repro.experiments.runner import list_experiments, run_experiment
 from repro.graphs.io import read_edge_list
 
 __all__ = ["main", "build_parser"]
+
+
+TIERS = ("tiny", "small", "bench")
+
+
+# Flag families shared by several subcommands, each declared once.
+
+
+def _add_tier(
+    parser: argparse.ArgumentParser, default: Optional[str] = "small"
+) -> None:
+    parser.add_argument(
+        "--tier", choices=TIERS, default=default, help="dataset size tier"
+    )
+
+
+def _add_graph_source(
+    parser: argparse.ArgumentParser, *, required: bool = True, shards: bool = False
+):
+    """The ``--dataset``/``--edge-list`` group (with ``--shards`` as a
+    third source when ``shards``) plus ``--tier``; returns the group so
+    a subcommand can add its own source option."""
+    source = parser.add_mutually_exclusive_group(required=required)
+    source.add_argument("--dataset", choices=dataset_keys(), help="built-in stand-in")
+    source.add_argument("--edge-list", help="path to a SNAP-style edge list")
+    if shards:
+        source.add_argument(
+            "--shards", metavar="DIR",
+            help="serve from a sharded store built by 'csrplus shard-build' "
+            "(rank/damping come from its manifest; --rank/--damping are "
+            "ignored)",
+        )
+    _add_tier(parser)
+    return source
+
+
+def _add_damping(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--damping", type=float, default=0.6, help="CoSimRank damping factor c"
+    )
+
+
+def _add_index_shape(parser: argparse.ArgumentParser, rank: int = 5) -> None:
+    parser.add_argument("--rank", type=int, default=rank, help="SVD rank r")
+    _add_damping(parser)
+
+
+def _add_json(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--json", action="store_true", help="emit machine-readable JSON"
+    )
+
+
+def _add_dumps(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--metrics-out", default=None, metavar="PATH",
+        help="write metrics here after the run (Prometheus text format, "
+        "or JSON when PATH ends with .json)",
+    )
+    parser.add_argument(
+        "--trace-out", default=None, metavar="PATH",
+        help="write the span trace here as JSON",
+    )
+
+
+def _add_query_mode(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--query-mode", choices=("exact", "batched"), default="exact",
+        help="column evaluation: 'exact' = einsum kernel (bit-exact, "
+        "default), 'batched' = one GEMM per batch (faster at large |Q|, "
+        "tolerance-equal; docs/serving.md)",
+    )
+
+
+def _add_service_knobs(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--cache-columns", type=int, default=1024,
+        help="LRU capacity in result columns (0 disables the cache)",
+    )
+    parser.add_argument(
+        "--max-inflight-seeds", type=int, default=None, metavar="N",
+        help="admission-control budget: shed batches once this many "
+        "distinct seed columns are in flight (ServiceOverloaded)",
+    )
+
+
+def _add_request_knobs(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--topk", type=int, default=None, metavar="K",
+        help="serve top-K rankings instead of full columns, answered by "
+        "the blockwise pruned kernel (docs/topk.md)",
+    )
+    parser.add_argument(
+        "--deadline-ms", type=float, default=None, metavar="MS",
+        help="deadline of each serve call (a serve-batch pass, a loadgen "
+        "request); chunks not started in time are cancelled (typed "
+        "DeadlineExceeded)",
+    )
+    parser.add_argument(
+        "--quality", choices=("exact", "approx", "auto"), default="exact",
+        help="serving tier: 'exact' (default), 'approx' = answer from "
+        "the rank-truncated replica within its published atol, 'auto' = "
+        "exact but downgrade would-be sheds to the replica "
+        "(docs/approx.md; needs a graph source, not --shards)",
+    )
+
+
+def _add_mutate_seed(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--mutate-seed", type=int, default=0,
+        help="RNG seed for the live edge batches",
+    )
+
+
+def _add_load_profile(parser: argparse.ArgumentParser, qps: float) -> None:
+    parser.add_argument(
+        "--requests", type=int, default=200, help="loadgen requests"
+    )
+    parser.add_argument(
+        "--qps", type=float, default=qps, help="loadgen base offered rate"
+    )
+    parser.add_argument(
+        "--seed", type=int, default=0,
+        help="loadgen RNG seed; the schedule is a pure function of the "
+        "profile",
+    )
+    parser.add_argument(
+        "--simulate", action="store_true",
+        help="run loadgen on a virtual clock: no real waiting, "
+        "byte-identical loadgen reports across runs",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -69,12 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp_run.add_argument(
         "exp_id", help="experiment id (e.g. fig2, tab3) or 'all'"
     )
-    exp_run.add_argument(
-        "--tier",
-        choices=("tiny", "small", "bench"),
-        default=None,
-        help="dataset size tier (experiments that take one)",
-    )
+    _add_tier(exp_run, default=None)
     exp_run.add_argument(
         "--output",
         default=None,
@@ -84,45 +212,24 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("datasets", help="show the paper's dataset table")
 
     query = sub.add_parser("query", help="run a multi-source CoSimRank query")
-    source = query.add_mutually_exclusive_group(required=True)
-    source.add_argument("--dataset", choices=dataset_keys(), help="built-in stand-in")
-    source.add_argument("--edge-list", help="path to a SNAP-style edge list")
-    source.add_argument(
-        "--shards", metavar="DIR",
-        help="serve from a sharded store built by 'csrplus shard-build' "
-        "(rank/damping come from its manifest; --rank/--damping are "
-        "ignored)",
-    )
-    query.add_argument("--tier", choices=("tiny", "small", "bench"), default="small")
+    _add_graph_source(query, shards=True)
     query.add_argument(
         "--queries", required=True, help="comma-separated node ids, e.g. 3,14,15"
     )
-    query.add_argument("--rank", type=int, default=5)
-    query.add_argument("--damping", type=float, default=0.6)
-    query.add_argument(
-        "--query-mode", choices=("exact", "batched"), default="exact",
-        help="column evaluation: 'exact' = einsum kernel (bit-exact, "
-        "default), 'batched' = one GEMM per batch (faster at large |Q|, "
-        "tolerance-equal)",
-    )
+    _add_index_shape(query)
+    _add_query_mode(query)
     query.add_argument("--top", type=int, default=10, help="rows to print per query")
 
     shard = sub.add_parser(
         "shard-build",
         help="build a sharded on-disk index (out-of-core by default)",
     )
-    shard_source = shard.add_mutually_exclusive_group(required=True)
-    shard_source.add_argument(
-        "--dataset", choices=dataset_keys(), help="built-in stand-in"
-    )
-    shard_source.add_argument("--edge-list", help="path to a SNAP-style edge list")
-    shard.add_argument("--tier", choices=("tiny", "small", "bench"), default="small")
+    _add_graph_source(shard)
     shard.add_argument(
         "--out", required=True, metavar="DIR",
         help="shard-store directory to create (manifest + .npy shards)",
     )
-    shard.add_argument("--rank", type=int, default=5)
-    shard.add_argument("--damping", type=float, default=0.6)
+    _add_index_shape(shard)
     shard.add_argument(
         "--num-shards", type=int, default=4, metavar="K",
         help="node-range shards to cut the factors into (clamped to n)",
@@ -145,27 +252,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--overwrite", action="store_true",
         help="replace an existing store at --out",
     )
-    shard.add_argument(
-        "--json", action="store_true", help="emit machine-readable JSON"
-    )
+    _add_json(shard)
 
     update = sub.add_parser(
         "update",
         help="apply an edge batch to a sharded store by targeted repair "
         "(only digest-changed shards are rewritten; docs/dynamic.md)",
     )
-    update_source = update.add_mutually_exclusive_group(required=True)
-    update_source.add_argument(
-        "--dataset", choices=dataset_keys(),
-        help="built-in stand-in the store was built from",
-    )
-    update_source.add_argument(
-        "--edge-list", help="path to the SNAP-style edge list the store "
-        "was built from",
-    )
-    update.add_argument(
-        "--tier", choices=("tiny", "small", "bench"), default="small"
-    )
+    _add_graph_source(update)
     update.add_argument(
         "--store", required=True, metavar="DIR",
         help="existing shard store (csrplus shard-build); never modified",
@@ -191,40 +285,21 @@ def build_parser() -> argparse.ArgumentParser:
         "--overwrite", action="store_true",
         help="replace an existing store at --out",
     )
-    update.add_argument(
-        "--json", action="store_true", help="emit machine-readable JSON"
-    )
+    _add_json(update)
 
     serve = sub.add_parser(
         "serve-batch",
         help="serve a file of multi-source requests through CoSimRankService",
     )
-    serve_source = serve.add_mutually_exclusive_group(required=True)
-    serve_source.add_argument(
-        "--dataset", choices=dataset_keys(), help="built-in stand-in"
-    )
-    serve_source.add_argument("--edge-list", help="path to a SNAP-style edge list")
-    serve_source.add_argument(
-        "--shards", metavar="DIR",
-        help="serve from a sharded store built by 'csrplus shard-build' "
-        "(rank/damping come from its manifest; --rank/--damping and "
-        "--index-dir do not apply)",
-    )
-    serve.add_argument(
-        "--tier", choices=("tiny", "small", "bench"), default="small"
-    )
+    _add_graph_source(serve, shards=True)
     serve.add_argument(
         "--queries-file",
         required=True,
         help="one request per line: comma/space-separated node ids "
         "('#' starts a comment)",
     )
-    serve.add_argument("--rank", type=int, default=5)
-    serve.add_argument("--damping", type=float, default=0.6)
-    serve.add_argument(
-        "--cache-columns", type=int, default=1024,
-        help="LRU capacity in result columns (0 disables the cache)",
-    )
+    _add_index_shape(serve)
+    _add_service_knobs(serve)
     serve.add_argument(
         "--workers", type=int, default=0,
         help="threads for miss computation (0 = one per CPU, 1 = serial)",
@@ -233,47 +308,17 @@ def build_parser() -> argparse.ArgumentParser:
         "--chunk-size", type=int, default=64,
         help="cache misses handed to one worker task at a time",
     )
-    serve.add_argument(
-        "--query-mode", choices=("exact", "batched"), default="exact",
-        help="'exact' = einsum kernel, bit-exact cached columns "
-        "(default); 'batched' = whole miss chunks as one GEMM, cached "
-        "columns tolerance-equal to exact (docs/serving.md)",
-    )
-    serve.add_argument(
-        "--topk", type=int, default=None, metavar="K",
-        help="serve top-K rankings instead of full columns: every seed "
-        "in the request file becomes one top-K query answered by the "
-        "blockwise pruned kernel, bit-identical to the full-sort "
-        "ranking in exact mode (docs/topk.md)",
-    )
+    _add_query_mode(serve)
+    _add_request_knobs(serve)
     serve.add_argument(
         "--repeat", type=int, default=2,
         help="serve the batch this many times (pass 1 is cold, later "
         "passes measure the warm cache)",
     )
     serve.add_argument(
-        "--deadline-ms", type=float, default=None, metavar="MS",
-        help="per-batch deadline; chunks not started in time are "
-        "cancelled (typed DeadlineExceeded, or None holes with "
-        "--partial)",
-    )
-    serve.add_argument(
-        "--max-inflight-seeds", type=int, default=None, metavar="N",
-        help="admission-control budget: shed batches once this many "
-        "distinct seed columns are in flight (ServiceOverloaded)",
-    )
-    serve.add_argument(
         "--partial", action="store_true",
         help="graceful degradation: report failed requests instead of "
         "aborting the pass (successful blocks stay bit-exact)",
-    )
-    serve.add_argument(
-        "--quality", choices=("exact", "approx", "auto"), default="exact",
-        help="serving tier: 'exact' (default), 'approx' = answer from "
-        "the rank-truncated replica within its published atol, 'auto' = "
-        "exact but downgrade would-be sheds to the replica instead of "
-        "raising ServiceOverloaded (docs/approx.md; needs a graph "
-        "source, not --shards)",
     )
     serve.add_argument(
         "--cache-validate", action="store_true",
@@ -287,21 +332,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--index-name", default=None,
-        help="registry key (default: derived from the source and rank)",
+        help="registry key under --index-dir (default: derived from the "
+        "source and rank)",
     )
-    serve.add_argument(
-        "--json", action="store_true", help="emit machine-readable JSON"
-    )
-    serve.add_argument(
-        "--metrics-out", default=None, metavar="PATH",
-        help="write metrics here after serving (Prometheus text format, "
-        "or JSON when PATH ends with .json)",
-    )
-    serve.add_argument(
-        "--trace-out", default=None, metavar="PATH",
-        help="write the span trace here as JSON (covers prepare and "
-        "every serving phase)",
-    )
+    _add_json(serve)
+    _add_dumps(serve)
     serve.add_argument(
         "--slow-query-ms", type=float, default=None, metavar="MS",
         help="log batches slower than this many milliseconds and count "
@@ -329,20 +364,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="random edges added per between-pass update batch "
         "(with --live)",
     )
-    serve.add_argument(
-        "--mutate-seed", type=int, default=0,
-        help="RNG seed for the between-pass edge batches",
-    )
+    _add_mutate_seed(serve)
 
     stats = sub.add_parser(
         "stats",
         help="structural statistics of a graph, or pretty-print a "
         "metrics/trace dump",
     )
-    stats_source = stats.add_mutually_exclusive_group(required=False)
-    stats_source.add_argument("--dataset", choices=dataset_keys())
-    stats_source.add_argument("--edge-list")
-    stats.add_argument("--tier", choices=("tiny", "small", "bench"), default="small")
+    _add_graph_source(stats, required=False)
     stats.add_argument(
         "--metrics-file", default=None, metavar="PATH",
         help="pretty-print a metrics dump written by serve-batch "
@@ -359,14 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="drive the service with deterministic Zipf/burst traffic "
         "and report QPS, latency percentiles, and SLO verdicts",
     )
-    loadgen_source = loadgen.add_mutually_exclusive_group(required=True)
-    loadgen_source.add_argument(
-        "--dataset", choices=dataset_keys(), help="built-in stand-in"
-    )
-    loadgen_source.add_argument(
-        "--edge-list", help="path to a SNAP-style edge list"
-    )
-    loadgen_source.add_argument(
+    _add_graph_source(loadgen).add_argument(
         "--url", metavar="http://HOST:PORT",
         help="drive a running 'csrplus serve' frontend over HTTP with "
         "keep-alive connections instead of an in-process service "
@@ -374,17 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-columns/--query-mode/--max-inflight-seeds are the "
         "server's and are ignored here)",
     )
-    loadgen.add_argument(
-        "--tier", choices=("tiny", "small", "bench"), default="small"
-    )
-    loadgen.add_argument("--rank", type=int, default=5)
-    loadgen.add_argument("--damping", type=float, default=0.6)
-    loadgen.add_argument(
-        "--requests", type=int, default=200, help="requests to generate"
-    )
-    loadgen.add_argument(
-        "--qps", type=float, default=200.0, help="base offered rate"
-    )
+    _add_index_shape(loadgen)
+    _add_load_profile(loadgen, qps=200.0)
     loadgen.add_argument(
         "--seeds-per-request", type=int, default=4, metavar="N",
         help="distinct seed ids per multi-source request",
@@ -405,35 +418,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--burst-duty", type=float, default=0.5, metavar="F",
         help="fraction of each cycle at the burst rate",
     )
-    loadgen.add_argument(
-        "--seed", type=int, default=0,
-        help="RNG seed; the schedule is a pure function of the profile",
-    )
-    loadgen.add_argument(
-        "--topk", type=int, default=None, metavar="K",
-        help="serve top-K rankings per request instead of full columns",
-    )
-    loadgen.add_argument(
-        "--deadline-ms", type=float, default=None, metavar="MS",
-        help="per-request deadline (typed DeadlineExceeded outcomes)",
-    )
-    loadgen.add_argument(
-        "--max-inflight-seeds", type=int, default=None, metavar="N",
-        help="admission-control budget (shed outcomes over it)",
-    )
-    loadgen.add_argument(
-        "--cache-columns", type=int, default=1024,
-        help="service column-cache capacity (0 disables)",
-    )
-    loadgen.add_argument(
-        "--query-mode", choices=("exact", "batched"), default="exact",
-    )
-    loadgen.add_argument(
-        "--quality", choices=("exact", "approx", "auto"), default="exact",
-        help="serving tier per request: 'auto' turns would-be sheds "
-        "into approx outcomes served by the rank-truncated replica "
-        "(docs/approx.md)",
-    )
+    _add_request_knobs(loadgen)
+    _add_service_knobs(loadgen)
+    _add_query_mode(loadgen)
     loadgen.add_argument(
         "--mutate-every", type=int, default=0, metavar="N",
         help="apply a live edge batch after every N dispatched requests "
@@ -444,10 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--mutate-edges", type=int, default=1, metavar="M",
         help="random edges added per mutation batch (with --mutate-every)",
     )
-    loadgen.add_argument(
-        "--mutate-seed", type=int, default=0,
-        help="RNG seed for the mutation batches",
-    )
+    _add_mutate_seed(loadgen)
     loadgen.add_argument(
         "--slo-p99-ms", type=float, default=None, metavar="MS",
         help="evaluate a p99-latency SLO at this threshold",
@@ -464,23 +448,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--fail-on-slo", action="store_true",
         help="exit 4 when any evaluated SLO fails",
     )
-    loadgen.add_argument(
-        "--simulate", action="store_true",
-        help="run on a virtual clock: no real waiting, byte-identical "
-        "reports across runs (CI determinism mode)",
-    )
-    loadgen.add_argument(
-        "--json", action="store_true", help="emit machine-readable JSON"
-    )
-    loadgen.add_argument(
-        "--metrics-out", default=None, metavar="PATH",
-        help="write merged metrics (loadgen + service + global) here "
-        "(Prometheus text, or JSON when PATH ends with .json)",
-    )
-    loadgen.add_argument(
-        "--trace-out", default=None, metavar="PATH",
-        help="write the span trace here as JSON",
-    )
+    _add_json(loadgen)
+    _add_dumps(loadgen)
 
     serve = sub.add_parser(
         "serve",
@@ -488,27 +457,12 @@ def build_parser() -> argparse.ArgumentParser:
         "fanning queries to worker processes that mmap a sharded store "
         "read-only (docs/frontend.md)",
     )
-    serve_src = serve.add_mutually_exclusive_group(required=True)
-    serve_src.add_argument(
-        "--shards", metavar="DIR",
-        help="existing sharded store to serve (csrplus shard-build)",
-    )
-    serve_src.add_argument(
-        "--dataset", choices=dataset_keys(),
-        help="built-in stand-in; builds the store at --store if missing",
-    )
-    serve_src.add_argument(
-        "--edge-list", help="path to a SNAP-style edge list (with --store)"
-    )
-    serve.add_argument(
-        "--tier", choices=("tiny", "small", "bench"), default="small"
-    )
+    _add_graph_source(serve, shards=True)
     serve.add_argument(
         "--store", metavar="DIR", default=None,
         help="store directory to build/reuse with a graph source",
     )
-    serve.add_argument("--rank", type=int, default=5)
-    serve.add_argument("--damping", type=float, default=0.6)
+    _add_index_shape(serve)
     serve.add_argument(
         "--num-shards", type=int, default=4, metavar="K",
         help="shards when the store has to be built",
@@ -528,14 +482,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="seeds per worker task (smaller = more cross-process "
         "parallelism per batch, more pipe overhead)",
     )
-    serve.add_argument(
-        "--query-mode", choices=("exact", "batched"), default="exact"
-    )
-    serve.add_argument("--cache-columns", type=int, default=1024)
-    serve.add_argument(
-        "--max-inflight-seeds", type=int, default=None, metavar="N",
-        help="admission-control budget (HTTP 503 over it)",
-    )
+    _add_query_mode(serve)
+    _add_service_knobs(serve)
     serve.add_argument(
         "--coalesce-ms", type=float, default=2.0, metavar="MS",
         help="window in which concurrent HTTP requests merge into one "
@@ -555,33 +503,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="measure the perf-trajectory suite; write/compare "
         "schema-versioned BENCH snapshots",
     )
-    bench_source = bench.add_mutually_exclusive_group(required=True)
-    bench_source.add_argument(
-        "--dataset", choices=dataset_keys(), help="built-in stand-in"
-    )
-    bench_source.add_argument(
-        "--edge-list", help="path to a SNAP-style edge list"
-    )
-    bench.add_argument(
-        "--tier", choices=("tiny", "small", "bench"), default="small"
-    )
-    bench.add_argument("--rank", type=int, default=16)
-    bench.add_argument("--damping", type=float, default=0.6)
-    bench.add_argument(
-        "--requests", type=int, default=200, help="loadgen requests"
-    )
-    bench.add_argument(
-        "--qps", type=float, default=500.0, help="loadgen base rate"
-    )
-    bench.add_argument(
-        "--seed", type=int, default=0, help="loadgen RNG seed"
-    )
+    _add_graph_source(bench)
+    _add_index_shape(bench, rank=16)
+    _add_load_profile(bench, qps=500.0)
     bench.add_argument(
         "--topk", type=int, default=10, help="k for the top-k kernel lap"
-    )
-    bench.add_argument(
-        "--simulate", action="store_true",
-        help="loadgen on a virtual clock (deterministic loadgen metrics)",
     )
     bench.add_argument(
         "--frontend-workers", type=int, default=0, metavar="N",
@@ -595,31 +521,53 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--compare", default=None, metavar="PATH",
-        help="baseline snapshot; exit 5 when any metric regresses "
-        "beyond --tolerance",
+        help="baseline snapshot of the same workload and environment; "
+        "exit 5 when any metric regresses beyond --tolerance",
     )
     bench.add_argument(
         "--tolerance", type=float, default=None, metavar="F",
         help="relative slack before a metric counts as regressed "
         "(default 0.25)",
     )
-    bench.add_argument(
-        "--json", action="store_true",
-        help="print the snapshot payload instead of the summary",
-    )
+    _add_json(bench)
 
     tune = sub.add_parser("tune", help="suggest an SVD rank for an error target")
-    tune_source = tune.add_mutually_exclusive_group(required=True)
-    tune_source.add_argument("--dataset", choices=dataset_keys())
-    tune_source.add_argument("--edge-list")
-    tune.add_argument("--tier", choices=("tiny", "small", "bench"), default="small")
+    _add_graph_source(tune)
     tune.add_argument("--target-error", type=float, required=True)
     tune.add_argument(
         "--candidates", default="5,10,25,50,100",
         help="comma-separated candidate ranks",
     )
-    tune.add_argument("--damping", type=float, default=0.6)
+    _add_damping(tune)
     return parser
+
+
+def _parse_ints(text: str, flag: str) -> List[int]:
+    """Parse a comma-separated integer list such as ``--queries 3,14,15``."""
+    try:
+        return [int(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise InvalidParameterError(
+            f"{flag} expects comma-separated integers, got {text!r}"
+        ) from None
+
+
+def _seconds(ms: Optional[float]) -> Optional[float]:
+    return ms / 1000.0 if ms is not None else None
+
+
+def _load_graph(args: argparse.Namespace):
+    if args.dataset:
+        return load_dataset(args.dataset, args.tier)
+    graph, _ = read_edge_list(args.edge_list)
+    return graph
+
+
+def _index_config(args: argparse.Namespace, graph, **extra) -> CSRPlusConfig:
+    """``--rank``/``--damping`` as a config, the rank clamped to ``n``."""
+    return CSRPlusConfig(
+        damping=args.damping, rank=min(args.rank, graph.num_nodes), **extra
+    )
 
 
 def _cmd_experiments(args: argparse.Namespace) -> int:
@@ -648,14 +596,16 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_datasets() -> int:
+def _cmd_datasets(args: argparse.Namespace) -> int:
     rows = paper_table()
     print(render_table(["Data", "m", "n", "m/n", "Description"], rows))
     return 0
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    queries = [int(tok) for tok in args.queries.split(",") if tok.strip()]
+    queries = _parse_ints(args.queries, "--queries")
+    if args.top < 1:
+        raise InvalidParameterError(f"--top must be >= 1, got {args.top}")
     if args.shards:
         from repro.sharding import ShardedIndex
 
@@ -669,15 +619,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
                 f"dtype={index.dtype.name}  query={elapsed:.4f}s"
             )
     else:
-        if args.dataset:
-            graph = load_dataset(args.dataset, args.tier)
-        else:
-            graph, _ = read_edge_list(args.edge_list)
-        config = CSRPlusConfig(
-            damping=args.damping,
-            rank=min(args.rank, graph.num_nodes),
-            query_mode=args.query_mode,
-        )
+        graph = _load_graph(args)
+        config = _index_config(args, graph, query_mode=args.query_mode)
         index = CSRPlusIndex(graph, config).prepare()
         block = index.query(queries)
         print(
@@ -699,11 +642,7 @@ def _cmd_shard_build(args: argparse.Namespace) -> int:
     from repro.sharding import build_sharded_store, shard_index
 
     graph = _load_graph(args)
-    config = CSRPlusConfig(
-        damping=args.damping,
-        rank=min(args.rank, graph.num_nodes),
-        dtype=args.dtype,
-    )
+    config = _index_config(args, graph, dtype=args.dtype)
     started = time.perf_counter()
     if args.from_index:
         index = CSRPlusIndex(graph, config).prepare()
@@ -764,8 +703,6 @@ def _cmd_shard_build(args: argparse.Namespace) -> int:
 
 def _parse_edge_pairs(text: str, flag: str) -> List[tuple]:
     """Parse ``SRC:DST,SRC:DST,...`` edge batches from the CLI."""
-    from repro.errors import InvalidParameterError
-
     edges = []
     for token in text.split(","):
         token = token.strip()
@@ -784,7 +721,6 @@ def _parse_edge_pairs(text: str, flag: str) -> List[tuple]:
 
 
 def _cmd_update(args: argparse.Namespace) -> int:
-    from repro.errors import InvalidParameterError
     from repro.sharding import repair_sharded_store
 
     added = _parse_edge_pairs(args.add, "--add")
@@ -873,10 +809,14 @@ def _cmd_serve_batch(args: argparse.Namespace) -> int:
         import logging
 
         logging.basicConfig(level=logging.WARNING)
+    if args.index_name and not args.index_dir:
+        raise InvalidParameterError(
+            "--index-name needs --index-dir (it names an entry of that "
+            "registry)"
+        )
 
     requests = _read_requests_file(args.queries_file)
     if args.shards:
-        from repro.errors import InvalidParameterError
         from repro.sharding import ShardedIndex
 
         if args.index_dir:
@@ -900,8 +840,6 @@ def _cmd_serve_batch(args: argparse.Namespace) -> int:
         config, chain, approx_index = index.config, None, None
     else:
         if args.live and args.live_shards is not None and not args.live_store:
-            from repro.errors import InvalidParameterError
-
             raise InvalidParameterError(
                 "--live-shards needs --live-store (one directory per "
                 "version is created beneath it)"
@@ -916,12 +854,7 @@ def _cmd_serve_batch(args: argparse.Namespace) -> int:
         num_nodes, num_edges = graph.num_nodes, graph.num_edges
 
     passes = []
-    slow_query_seconds = (
-        args.slow_query_ms / 1000.0 if args.slow_query_ms is not None else None
-    )
-    deadline_s = (
-        args.deadline_ms / 1000.0 if args.deadline_ms is not None else None
-    )
+    slow_query_seconds = _seconds(args.slow_query_ms)
     with CoSimRankService(
         index,
         cache_columns=args.cache_columns,
@@ -938,11 +871,20 @@ def _cmd_serve_batch(args: argparse.Namespace) -> int:
                 chain, service, args.mutate_seed, num_nodes,
                 args.mutate_per_pass,
             )
-        topk_seeds = (
-            [seed for request in requests for seed in request]
-            if args.topk is not None
-            else None
+        options = dict(
+            deadline_s=_seconds(args.deadline_ms), partial=args.partial,
+            quality=args.quality,
         )
+        if args.topk is not None:
+            # every seed in the file becomes one top-k query
+            seeds = [seed for request in requests for seed in request]
+            unit = "seeds"
+            serve = functools.partial(
+                service.serve_topk, seeds, args.topk, **options
+            )
+        else:
+            unit = "columns"
+            serve = functools.partial(service.serve_batch, requests, **options)
         for pass_num in range(1, max(1, args.repeat) + 1):
             link = None
             if chain is not None and pass_num > 1:
@@ -950,34 +892,19 @@ def _cmd_serve_batch(args: argparse.Namespace) -> int:
                 # the repaired version is swapped in before this pass
                 link = mutate()
             started = time.perf_counter()
-            if topk_seeds is not None:
-                results = service.serve_topk(
-                    topk_seeds, args.topk,
-                    deadline_s=deadline_s, partial=args.partial,
-                    quality=args.quality,
-                )
-                elapsed = time.perf_counter() - started
-                served = [result for result in results if result is not None]
-                entry = {
-                    "pass": pass_num,
-                    "seconds": elapsed,
-                    "seeds": len(served),
-                    "seeds_per_second": len(served) / max(elapsed, 1e-12),
-                }
-            else:
-                results = service.serve_batch(
-                    requests, deadline_s=deadline_s, partial=args.partial,
-                    quality=args.quality,
-                )
-                elapsed = time.perf_counter() - started
-                served = [block for block in results if block is not None]
-                columns = sum(block.shape[1] for block in served)
-                entry = {
-                    "pass": pass_num,
-                    "seconds": elapsed,
-                    "columns": columns,
-                    "columns_per_second": columns / max(elapsed, 1e-12),
-                }
+            results = serve()
+            elapsed = time.perf_counter() - started
+            served = [result for result in results if result is not None]
+            amount = (
+                len(served) if args.topk is not None
+                else sum(block.shape[1] for block in served)
+            )
+            entry = {
+                "pass": pass_num,
+                "seconds": elapsed,
+                unit: amount,
+                f"{unit}_per_second": amount / max(elapsed, 1e-12),
+            }
             if args.partial:
                 entry["failed_requests"] = len(results) - len(served)
             if chain is not None:
@@ -990,11 +917,7 @@ def _cmd_serve_batch(args: argparse.Namespace) -> int:
         topk_stats = service.topk_stats() if args.topk is not None else None
     if args.shards:
         index.close()
-
-    if args.metrics_out:
-        _write_metrics_dump(args.metrics_out, service)
-    if args.trace_out:
-        obs.get_tracer().write_json(args.trace_out)
+    _write_dumps(args, service)
 
     # --partial trades typed errors for None holes; a non-zero exit is
     # the only signal scripted callers have that the batch came back
@@ -1042,6 +965,7 @@ def _cmd_serve_batch(args: argparse.Namespace) -> int:
         f"requests={len(requests)} workers={service.max_workers} "
         f"mode={service.query_mode}"
     )
+    what = f"top-{args.topk} rankings" if args.topk is not None else "columns"
     for entry in passes:
         live_note = ""
         if "index_version" in entry:
@@ -1051,18 +975,11 @@ def _cmd_serve_batch(args: argparse.Namespace) -> int:
                     f", {entry['repaired_shards']} shard(s) repaired"
                 )
             live_note += "]"
-        if "seeds" in entry:
-            print(
-                f"pass {entry['pass']}: {entry['seconds']:.4f}s  "
-                f"{entry['seeds']} top-{args.topk} rankings  "
-                f"{entry['seeds_per_second']:,.0f} seeds/s{live_note}"
-            )
-        else:
-            print(
-                f"pass {entry['pass']}: {entry['seconds']:.4f}s  "
-                f"{entry['columns']} columns  "
-                f"{entry['columns_per_second']:,.0f} columns/s{live_note}"
-            )
+        print(
+            f"pass {entry['pass']}: {entry['seconds']:.4f}s  "
+            f"{entry[unit]} {what}  "
+            f"{entry[unit + '_per_second']:,.0f} {unit}/s{live_note}"
+        )
     if chain is not None:
         print(
             f"live: final version v{chain.version} "
@@ -1106,10 +1023,7 @@ def _cmd_serve_batch(args: argparse.Namespace) -> int:
             f"slow batches: {len(service.slow_queries())} "
             f"(threshold {args.slow_query_ms:g} ms)"
         )
-    if args.metrics_out:
-        print(f"metrics written to {args.metrics_out}")
-    if args.trace_out:
-        print(f"trace written to {args.trace_out}")
+    _print_dump_paths(args)
     if exit_code:
         print(
             f"warning: {failed_requests} request(s) failed across "
@@ -1119,33 +1033,36 @@ def _cmd_serve_batch(args: argparse.Namespace) -> int:
     return exit_code
 
 
-def _write_metrics_dump(path: str, service, *extra_registries) -> None:
-    """Write the global (prepare) + service (serve) metrics to ``path``.
+def _write_dumps(args: argparse.Namespace, target, *extra_registries) -> None:
+    """Write ``--metrics-out`` and ``--trace-out`` when given.
 
-    Prometheus text format by default; a structured JSON dump when the
-    path ends with ``.json``.  The registries have disjoint metric
-    names (``csrplus_prepare_*`` / ``csrplus_serve_*`` /
-    ``csrplus_loadgen_*``), so merging their expositions is always
-    valid.
+    The metrics are the global (prepare) registry, ``target``'s (a
+    service or frontend client) and ``extra_registries``: Prometheus
+    text format by default, a structured JSON dump when the path ends
+    with ``.json``.  The registries have disjoint metric names
+    (``csrplus_prepare_*`` / ``csrplus_serve_*`` / ``csrplus_loadgen_*``),
+    so merging their expositions is always valid.
     """
-    import json as _json
-
     import repro.obs as obs
 
-    registries = (obs.get_registry(), service.registry, *extra_registries)
-    with open(path, "w", encoding="utf-8") as handle:
-        if path.endswith(".json"):
-            _json.dump(obs.registries_as_dict(*registries), handle, indent=2)
-            handle.write("\n")
-        else:
-            handle.write(obs.render_prometheus(*registries))
+    path = args.metrics_out
+    if path:
+        registries = (obs.get_registry(), target.registry, *extra_registries)
+        with open(path, "w", encoding="utf-8") as handle:
+            if path.endswith(".json"):
+                json.dump(obs.registries_as_dict(*registries), handle, indent=2)
+                handle.write("\n")
+            else:
+                handle.write(obs.render_prometheus(*registries))
+    if args.trace_out:
+        obs.get_tracer().write_json(args.trace_out)
 
 
-def _load_graph(args: argparse.Namespace):
-    if args.dataset:
-        return load_dataset(args.dataset, args.tier)
-    graph, _ = read_edge_list(args.edge_list)
-    return graph
+def _print_dump_paths(args: argparse.Namespace) -> None:
+    if args.metrics_out:
+        print(f"metrics written to {args.metrics_out}")
+    if args.trace_out:
+        print(f"trace written to {args.trace_out}")
 
 
 def _build_served_index(
@@ -1162,9 +1079,7 @@ def _build_served_index(
     fresh build; ``replica`` is the degraded tier's (docs/approx.md)
     when ``args.quality`` is not ``"exact"``."""
     graph = _load_graph(args)
-    config = CSRPlusConfig(
-        damping=args.damping, rank=min(args.rank, graph.num_nodes)
-    )
+    config = _index_config(args, graph)
     chain = None
     if live:
         from repro.serving import LiveIndexChain
@@ -1214,52 +1129,37 @@ def _edge_mutator(chain, service, seed: int, num_nodes: int, count: int):
     return mutate
 
 
-def _cmd_loadgen(args: argparse.Namespace) -> int:
-    import time as _time
+@contextmanager
+def _loadgen_target(args: argparse.Namespace):
+    """Yield ``(target, num_nodes, mutator, server)`` for ``loadgen``.
 
-    import repro.obs as obs
-    from repro.obs.metrics import MetricsRegistry
-    from repro.serving import (
-        CoSimRankService,
-        LoadProfile,
-        SimulatedClock,
-        build_schedule,
-        loadgen_slos,
-        run_load,
-    )
-
-    if args.metrics_out or args.trace_out:
-        obs.enable()
+    With ``--url`` the target is a keep-alive
+    :class:`~repro.serving.frontend.FrontendClient` that reconstructs
+    the server's typed errors from the wire, so shed/deadline/degraded
+    counts mean what they mean in process; ``server`` is its
+    ``/healthz`` payload.  Otherwise it is an in-process
+    :class:`~repro.serving.CoSimRankService` over
+    :func:`_build_served_index`, with a live-edge ``mutator`` when
+    ``--mutate-every`` is set, and ``server`` is ``None``.
+    """
     if args.url:
-        return _cmd_loadgen_http(args)
+        from repro.serving.frontend import FrontendClient
+
+        if args.mutate_every:
+            raise InvalidParameterError(
+                "--mutate-every needs an in-process service "
+                "(--dataset/--edge-list); mutate a frontend through its "
+                "POST /admin/publish endpoint instead"
+            )
+        with FrontendClient(args.url) as client:
+            health = client.healthz()
+            yield client, int(health["num_nodes"]), None, health
+        return
+    from repro.serving import CoSimRankService
+
     graph, _, index, chain, approx_index = _build_served_index(
         args, live=bool(args.mutate_every)
     )
-    profile = LoadProfile(
-        requests=args.requests,
-        qps=args.qps,
-        seeds_per_request=args.seeds_per_request,
-        zipf_s=args.zipf,
-        burst_factor=args.burst_factor,
-        burst_period_s=args.burst_period_s,
-        burst_duty=args.burst_duty,
-        seed=args.seed,
-    )
-    schedule = build_schedule(profile, graph.num_nodes)
-    slos = loadgen_slos(
-        p99_ms=args.slo_p99_ms,
-        p50_ms=args.slo_p50_ms,
-        availability=args.slo_availability,
-    )
-    registry = MetricsRegistry()
-    deadline_s = (
-        args.deadline_ms / 1000.0 if args.deadline_ms is not None else None
-    )
-    if args.simulate:
-        sim = SimulatedClock()
-        clock, sleep = sim.now, sim.sleep
-    else:
-        clock, sleep = _time.monotonic, _time.sleep
     with CoSimRankService(
         index,
         cache_columns=args.cache_columns,
@@ -1274,68 +1174,17 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
                 chain, service, args.mutate_seed, graph.num_nodes,
                 args.mutate_edges,
             )
-        report = run_load(
-            service,
-            schedule,
-            topk=args.topk,
-            deadline_s=deadline_s,
-            quality=args.quality,
-            slos=slos,
-            registry=registry,
-            clock=clock,
-            sleep=sleep,
-            mutator=mutator,
-            mutate_every=args.mutate_every,
-        )
-        if args.metrics_out:
-            _write_metrics_dump(args.metrics_out, service, registry)
-    if args.trace_out:
-        obs.get_tracer().write_json(args.trace_out)
-
-    exit_code = 4 if args.fail_on_slo and not report.slo_ok else 0
-    if args.json:
-        print(json.dumps(report.as_dict(), indent=2))
-        return exit_code
-    print(report.render())
-    if report.slo is not None:
-        from repro.obs.slo import SLOReport, SLOResult
-
-        table = SLOReport(
-            results=[
-                SLOResult(**{
-                    key: value
-                    for key, value in entry.items()
-                    if key not in ("burn_rate", "budget_remaining")
-                })
-                for entry in report.slo["slos"]
-            ]
-        ).render()
-        print(table)
-    if args.metrics_out:
-        print(f"metrics written to {args.metrics_out}")
-    if args.trace_out:
-        print(f"trace written to {args.trace_out}")
-    if exit_code:
-        print(
-            "error: SLO verdicts failed; exiting 4 (--fail-on-slo)",
-            file=sys.stderr,
-        )
-    return exit_code
+        yield service, graph.num_nodes, mutator, None
 
 
-def _cmd_loadgen_http(args: argparse.Namespace) -> int:
-    """``csrplus loadgen --url``: the same open-loop driver over HTTP.
+def _cmd_loadgen(args: argparse.Namespace) -> int:
+    """``csrplus loadgen``: one open-loop driver for both targets.
 
-    The schedule, SLO verdicts, and outcome classification are the
-    in-process ones; only the dispatch target changes — a keep-alive
-    :class:`~repro.serving.frontend.FrontendClient` that reconstructs
-    the server's typed errors from the wire, so shed/deadline/degraded
-    counts mean the same thing they mean in process.
+    The schedule, SLO verdicts and outcome classification are the same
+    in process and over HTTP; only the dispatch target differs
+    (:func:`_loadgen_target`).
     """
-    import time as _time
-
     import repro.obs as obs
-    from repro.errors import InvalidParameterError
     from repro.obs.metrics import MetricsRegistry
     from repro.serving import (
         LoadProfile,
@@ -1344,14 +1193,9 @@ def _cmd_loadgen_http(args: argparse.Namespace) -> int:
         loadgen_slos,
         run_load,
     )
-    from repro.serving.frontend import FrontendClient
 
-    if args.mutate_every:
-        raise InvalidParameterError(
-            "--mutate-every needs an in-process service "
-            "(--dataset/--edge-list); mutate a frontend through its "
-            "POST /admin/publish endpoint instead"
-        )
+    if args.metrics_out or args.trace_out:
+        obs.enable()
     profile = LoadProfile(
         requests=args.requests,
         qps=args.qps,
@@ -1368,45 +1212,41 @@ def _cmd_loadgen_http(args: argparse.Namespace) -> int:
         availability=args.slo_availability,
     )
     registry = MetricsRegistry()
-    deadline_s = (
-        args.deadline_ms / 1000.0 if args.deadline_ms is not None else None
-    )
     if args.simulate:
         sim = SimulatedClock()
         clock, sleep = sim.now, sim.sleep
     else:
-        clock, sleep = _time.monotonic, _time.sleep
-    with FrontendClient(args.url) as client:
-        health = client.healthz()
-        schedule = build_schedule(profile, int(health["num_nodes"]))
+        clock, sleep = time.monotonic, time.sleep
+    with _loadgen_target(args) as (target, num_nodes, mutator, server):
         report = run_load(
-            client,
-            schedule,
+            target,
+            build_schedule(profile, num_nodes),
             topk=args.topk,
-            deadline_s=deadline_s,
+            deadline_s=_seconds(args.deadline_ms),
             quality=args.quality,
             slos=slos,
             registry=registry,
             clock=clock,
             sleep=sleep,
+            mutator=mutator,
+            mutate_every=args.mutate_every,
         )
-        if args.metrics_out:
-            _write_metrics_dump(args.metrics_out, client, registry)
-    if args.trace_out:
-        obs.get_tracer().write_json(args.trace_out)
+    _write_dumps(args, target, registry)
 
     exit_code = 4 if args.fail_on_slo and not report.slo_ok else 0
     if args.json:
         payload = report.as_dict()
-        payload["url"] = args.url
-        payload["server"] = health
+        if server is not None:
+            payload["url"] = args.url
+            payload["server"] = server
         print(json.dumps(payload, indent=2))
         return exit_code
-    print(
-        f"frontend: {args.url}  n={health['num_nodes']} "
-        f"workers={health['workers_alive']}/{health['workers_total']} "
-        f"mode={health['query_mode']} v{health['index_version']}"
-    )
+    if server is not None:
+        print(
+            f"frontend: {args.url}  n={server['num_nodes']} "
+            f"workers={server['workers_alive']}/{server['workers_total']} "
+            f"mode={server['query_mode']} v{server['index_version']}"
+        )
     print(report.render())
     if report.slo is not None:
         from repro.obs.slo import SLOReport, SLOResult
@@ -1422,8 +1262,7 @@ def _cmd_loadgen_http(args: argparse.Namespace) -> int:
             ]
         ).render()
         print(table)
-    if args.metrics_out:
-        print(f"metrics written to {args.metrics_out}")
+    _print_dump_paths(args)
     if exit_code:
         print(
             "error: SLO verdicts failed; exiting 4 (--fail-on-slo)",
@@ -1435,12 +1274,17 @@ def _cmd_loadgen_http(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
-    from repro.errors import InvalidParameterError
     from repro.serving.frontend import FrontendConfig, FrontendServer
     from repro.serving.frontend.protocol import WIRE_VERSION
     from repro.sharding import REPLICA_DIR, build_sharded_store, replica_store_path
 
     if args.shards:
+        if args.store:
+            raise InvalidParameterError(
+                "--store applies only with a graph source "
+                "(--dataset/--edge-list); --shards already names the "
+                "store to serve"
+            )
         store_path = args.shards
         if not os.path.exists(os.path.join(store_path, "manifest.json")):
             raise InvalidParameterError(
@@ -1456,16 +1300,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         graph = _load_graph(args)
         store_path = args.store
         if not os.path.exists(os.path.join(store_path, "manifest.json")):
-            config = CSRPlusConfig(
-                damping=args.damping,
-                rank=min(args.rank, graph.num_nodes),
-                query_mode=args.query_mode,
-            )
             build_sharded_store(
                 graph,
                 store_path,
                 num_shards=args.num_shards,
-                config=config,
+                config=_index_config(args, graph, query_mode=args.query_mode),
                 replica_path=os.path.join(store_path, REPLICA_DIR),
             )
             print(
@@ -1517,6 +1356,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     from repro.bench import (
         DEFAULT_TOLERANCE,
+        check_comparable,
         compare_snapshots,
         load_snapshot,
         render_comparison,
@@ -1560,6 +1400,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             args.tolerance if args.tolerance is not None else DEFAULT_TOLERANCE
         )
         baseline = load_snapshot(args.compare)
+        check_comparable(baseline, payload)
         regressions = compare_snapshots(baseline, payload, tolerance)
         print(render_comparison(baseline, payload, regressions, tolerance))
         if regressions:
@@ -1573,8 +1414,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    from repro.errors import InvalidParameterError
-
     if not (args.dataset or args.edge_list or args.metrics_file or args.trace_file):
         raise InvalidParameterError(
             "stats needs a graph source (--dataset/--edge-list) or a dump "
@@ -1671,7 +1510,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     from repro.core.tuning import estimate_rank_error, suggest_rank
 
     graph = _load_graph(args)
-    candidates = [int(tok) for tok in args.candidates.split(",") if tok.strip()]
+    candidates = _parse_ints(args.candidates, "--candidates")
     rank = suggest_rank(
         graph, args.target_error, candidates=candidates, damping=args.damping
     )
@@ -1683,37 +1522,29 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     return 0
 
 
+_COMMANDS = {
+    "experiments": _cmd_experiments,
+    "datasets": _cmd_datasets,
+    "query": _cmd_query,
+    "shard-build": _cmd_shard_build,
+    "update": _cmd_update,
+    "serve-batch": _cmd_serve_batch,
+    "stats": _cmd_stats,
+    "loadgen": _cmd_loadgen,
+    "serve": _cmd_serve,
+    "bench": _cmd_bench,
+    "tune": _cmd_tune,
+}
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point; returns a process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "experiments":
-            return _cmd_experiments(args)
-        if args.command == "datasets":
-            return _cmd_datasets()
-        if args.command == "query":
-            return _cmd_query(args)
-        if args.command == "shard-build":
-            return _cmd_shard_build(args)
-        if args.command == "update":
-            return _cmd_update(args)
-        if args.command == "serve-batch":
-            return _cmd_serve_batch(args)
-        if args.command == "stats":
-            return _cmd_stats(args)
-        if args.command == "loadgen":
-            return _cmd_loadgen(args)
-        if args.command == "serve":
-            return _cmd_serve(args)
-        if args.command == "bench":
-            return _cmd_bench(args)
-        if args.command == "tune":
-            return _cmd_tune(args)
+        return _COMMANDS[args.command](args)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 2  # pragma: no cover - argparse enforces the choices
 
 
 if __name__ == "__main__":  # pragma: no cover

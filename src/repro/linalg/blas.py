@@ -23,7 +23,7 @@ import threading
 from contextlib import contextmanager
 from typing import Callable, Iterator, List, Optional, Tuple
 
-__all__ = ["single_threaded_blas"]
+__all__ = ["blas_threads", "single_threaded_blas"]
 
 #: ``(getter, setter)`` symbol pairs, in the order they are tried on
 #: each loaded library: numpy's and scipy's wheels prefix theirs.
@@ -72,6 +72,22 @@ def _find_controls() -> List[_Control]:
     return controls
 
 
+def _loaded_controls() -> List[_Control]:
+    """The cached controls; call with ``_lock`` held."""
+    global _controls
+    if _controls is None:
+        _controls = _find_controls()
+    return _controls
+
+
+def blas_threads() -> Optional[int]:
+    """Largest thread count among the loaded OpenBLAS libraries, or
+    ``None`` when no OpenBLAS control is found."""
+    with _lock:
+        controls = _loaded_controls()
+        return max((getter() for getter, _ in controls), default=None)
+
+
 @contextmanager
 def single_threaded_blas() -> Iterator[None]:
     """Run the block with every loaded OpenBLAS at one thread.
@@ -79,12 +95,12 @@ def single_threaded_blas() -> Iterator[None]:
     Nested and concurrent blocks share one setting: the first to enter
     records the thread counts and the last to leave restores them.
     """
-    global _controls, _depth
+    global _depth
     with _lock:
-        if _controls is None:
-            _controls = _find_controls()
         if _depth == 0:
-            _saved[:] = [(setter, getter()) for getter, setter in _controls]
+            _saved[:] = [
+                (setter, getter()) for getter, setter in _loaded_controls()
+            ]
             for setter, _ in _saved:
                 setter(1)
         _depth += 1

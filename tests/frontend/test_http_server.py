@@ -211,6 +211,27 @@ class TestLoadgenOverHttp:
         assert payload["outcomes"]["ok"] == 10
         assert payload["url"] == frontend_url
 
+    def test_cli_loadgen_url_human_output(self, frontend_url, tmp_path,
+                                          capsys):
+        from repro.cli import main
+
+        metrics = tmp_path / "loadgen.prom"
+        trace = tmp_path / "trace.json"
+        code = main([
+            "loadgen", "--url", frontend_url, "--requests", "5",
+            "--qps", "500", "--slo-availability", "0.5",
+            "--metrics-out", str(metrics), "--trace-out", str(trace),
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert f"frontend: {frontend_url}" in out
+        assert "loadgen:" in out
+        assert "loadgen-availability" in out
+        assert f"metrics written to {metrics}" in out
+        assert f"trace written to {trace}" in out
+        assert "csrplus_loadgen_requests_total 5" in metrics.read_text()
+        json.loads(trace.read_text())
+
     def test_cli_loadgen_url_rejects_mutate_every(self, frontend_url):
         from repro.cli import main
 

@@ -1038,3 +1038,80 @@ class TestLoadgenMutate:
         ])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+
+class TestUnparsableArguments:
+    """Malformed comma lists and a non-positive ``--top`` are typed
+    errors: exit 1 with ``error:``, never a traceback or odd output."""
+
+    @pytest.mark.parametrize("argv", [
+        ["query", "--dataset", "FB", "--tier", "tiny", "--queries", "3,x"],
+        ["tune", "--dataset", "FB", "--tier", "tiny",
+         "--target-error", "0.5", "--candidates", "5,y"],
+        ["query", "--dataset", "FB", "--tier", "tiny", "--queries", "3",
+         "--top", "-2"],
+        ["query", "--dataset", "FB", "--tier", "tiny", "--queries", "3",
+         "--top", "0"],
+    ])
+    def test_exits_1_with_error(self, argv, capsys):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "error:" in captured.err
+        assert "Traceback" not in captured.out + captured.err
+        assert "most similar" not in captured.out
+
+
+class TestIgnoredFlagsRejected:
+    def test_index_name_needs_index_dir(self, tmp_path, capsys):
+        queries = tmp_path / "queries.txt"
+        queries.write_text("1\n")
+        code = main([
+            "serve-batch", "--dataset", "FB", "--tier", "tiny",
+            "--queries-file", str(queries), "--index-name", "fb",
+        ])
+        assert code == 1
+        assert "--index-name" in capsys.readouterr().err
+
+    def test_serve_shards_rejects_store(self, tmp_path, capsys):
+        code = main([
+            "serve", "--shards", str(tmp_path / "shards"),
+            "--store", str(tmp_path / "other"), "--port", "0",
+        ])
+        assert code == 1
+        assert "--store" in capsys.readouterr().err
+
+
+class TestBenchCompareRefusesMismatch:
+    """``bench --compare`` refuses a baseline whose workload or
+    environment differs from the fresh run's, or lacks those keys."""
+
+    @pytest.mark.parametrize("section,key,value,named", [
+        ("workload", "rank", 8, "workload"),
+        ("workload", "num_nodes", 300, "workload"),
+        ("environment", "cpus", "999", "cpus"),
+        ("environment", "blas_threads", "999", "blas_threads"),
+        ("environment", "blas_threads", None, "blas_threads"),
+    ])
+    def test_mismatch_exits_1(self, tmp_path, capsys, section, key, value,
+                              named):
+        import json
+
+        assert TestBenchCommand._bench(tmp_path, "BENCH_base.json") == 0
+        baseline = json.loads((tmp_path / "BENCH_base.json").read_text())
+        if value is None:
+            del baseline[section][key]  # a snapshot from before the key
+        else:
+            baseline[section][key] = value
+        (tmp_path / "BENCH_prior.json").write_text(json.dumps(baseline))
+        capsys.readouterr()
+
+        code = TestBenchCommand._bench(
+            tmp_path, "BENCH_next.json",
+            "--compare", str(tmp_path / "BENCH_prior.json"),
+            "--tolerance", "1000",
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "error:" in captured.err
+        assert named in captured.err
+        assert "bench comparison" not in captured.out

@@ -8,6 +8,7 @@ import pytest
 from repro.bench import (
     DEFAULT_TOLERANCE,
     SCHEMA,
+    check_comparable,
     compare_snapshots,
     load_snapshot,
     render_comparison,
@@ -155,3 +156,12 @@ class TestCompare:
     def test_render_clean_comparison(self, payload):
         text = render_comparison(payload, payload, [], 0.25)
         assert "no regressions" in text
+
+
+class TestComparable:
+    def test_environment_records_blas_threads(self, payload):
+        threads = payload["environment"]["blas_threads"]
+        assert threads == "unknown" or int(threads) >= 1
+
+    def test_same_run_is_comparable(self, payload):
+        check_comparable(payload, json.loads(json.dumps(payload)))
