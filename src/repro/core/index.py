@@ -47,11 +47,7 @@ from repro.core.config import QUERY_MODES, CSRPlusConfig
 from repro.core.memory import sparse_nbytes
 from repro.errors import InvalidParameterError, NotPreparedError, QueryError
 from repro.graphs.digraph import DiGraph
-from repro.linalg.stein import (
-    solve_stein_direct,
-    solve_stein_fixed_point,
-    solve_stein_squaring,
-)
+from repro.linalg.stein import sigma_p_sigma, solve_stein
 from repro.linalg.svd import truncated_svd
 
 __all__ = [
@@ -352,24 +348,16 @@ class CSRPlusIndex(SimilarityEngine):
 
         # lines 4-5: P via the configured Stein solver
         with self._stage("stein", solver=cfg.solver) as stein_span:
-            if cfg.solver == "squaring":
-                p_matrix, iterations = solve_stein_squaring(
-                    h_matrix, cfg.damping, cfg.epsilon
-                )
-            elif cfg.solver == "fixed_point":
-                p_matrix, iterations = solve_stein_fixed_point(
-                    h_matrix, cfg.damping, cfg.epsilon
-                )
-            else:  # "direct"
-                p_matrix, iterations = solve_stein_direct(h_matrix, cfg.damping), 0
+            p_matrix, iterations = solve_stein(
+                h_matrix, cfg.damping, cfg.epsilon, cfg.solver
+            )
             stein_span.set_attribute("iterations", iterations)
         self.stein_iterations = iterations
         self.memory.charge("precompute/P", p_matrix.nbytes)
 
         # line 6: Z = U (Sigma P Sigma)  — n x r, the only large factor kept
         with self._stage("assemble"):
-            sps = (svd.sigma[:, np.newaxis] * p_matrix) * svd.sigma[np.newaxis, :]
-            z_matrix = u_factor @ sps
+            z_matrix = u_factor @ sigma_p_sigma(svd.sigma, p_matrix)
 
             if cfg.dtype == "float32":
                 # halve the retained factors; all computation above stayed
@@ -570,41 +558,12 @@ class CSRPlusIndex(SimilarityEngine):
                 "this index lacks the H factor (saved by an older version); "
                 "rebuild it from the graph to enable re-damping"
             )
-        sibling = CSRPlusIndex(
-            self.graph, self.config.with_overrides(damping=damping)
+        return self._derived(
+            self.config.with_overrides(damping=damping),
+            self._u,
+            self._sigma,
+            self._h,
         )
-        cfg = sibling.config
-        if cfg.solver == "squaring":
-            p_matrix, iterations = solve_stein_squaring(
-                self._h, damping, cfg.epsilon
-            )
-        elif cfg.solver == "fixed_point":
-            p_matrix, iterations = solve_stein_fixed_point(
-                self._h, damping, cfg.epsilon
-            )
-        else:
-            p_matrix, iterations = solve_stein_direct(self._h, damping), 0
-        sibling.stein_iterations = iterations
-        sps = (self._sigma[:, np.newaxis] * p_matrix) * self._sigma[np.newaxis, :]
-        # prepare()'s dtype policy: compute Z in float64, cast only the
-        # retained factor.  Without the upcast a float32 index would
-        # promote U @ sps to float64 and keep it — a sibling whose query
-        # dtype (and ledger) diverges from a freshly prepared one.
-        z_matrix = self._u.astype(np.float64, copy=False) @ sps
-        if cfg.dtype == "float32":
-            z_matrix = z_matrix.astype(np.float32)
-        sibling._u = self._u  # shared, read-only
-        sibling._sigma = self._sigma
-        sibling._h = self._h
-        sibling._p = p_matrix
-        sibling._z = z_matrix
-        sibling.memory.charge("precompute/U", self._u.nbytes)
-        sibling.memory.charge("precompute/Sigma", self._sigma.nbytes)
-        sibling.memory.charge("precompute/H", self._h.nbytes)
-        sibling.memory.charge("precompute/P", p_matrix.nbytes)
-        sibling.memory.charge("precompute/Z", sibling._z.nbytes)
-        sibling._prepared = True
-        return sibling
 
     def truncate_to_rank(self, rank: int) -> "CSRPlusIndex":
         """A prepared index at a *smaller* rank, reusing this SVD.
@@ -629,48 +588,56 @@ class CSRPlusIndex(SimilarityEngine):
             raise NotPreparedError(
                 "this index lacks the H factor; rebuild it from the graph"
             )
-        sibling = CSRPlusIndex(
-            self.graph, self.config.with_overrides(rank=rank)
-        )
-        cfg = sibling.config
-        u_small = np.ascontiguousarray(self._u[:, :rank])
-        sigma_small = self._sigma[:rank].copy()
+        # The rank-r' SVD is the first r' columns of this one, and
         # H = V^T U Sigma truncates to its leading principal block.
-        h_small = self._h[:rank, :rank].copy()
-        if cfg.solver == "squaring":
-            p_small, iterations = solve_stein_squaring(
-                h_small, cfg.damping, cfg.epsilon
-            )
-        elif cfg.solver == "fixed_point":
-            p_small, iterations = solve_stein_fixed_point(
-                h_small, cfg.damping, cfg.epsilon
-            )
-        else:
-            p_small, iterations = solve_stein_direct(h_small, cfg.damping), 0
-        sibling.stein_iterations = iterations
-        sps = (sigma_small[:, np.newaxis] * p_small) * sigma_small[np.newaxis, :]
-        z_small = u_small.astype(np.float64, copy=False) @ sps
-        if cfg.dtype == "float32":
-            u_small = u_small.astype(np.float32, copy=False)
-            z_small = z_small.astype(np.float32)
-        sibling._u = u_small
-        sibling._sigma = sigma_small
-        sibling._h = h_small
-        sibling._p = p_small
-        sibling._z = z_small
-        sibling.memory.charge("precompute/U", u_small.nbytes)
-        sibling.memory.charge("precompute/Sigma", sigma_small.nbytes)
-        sibling.memory.charge("precompute/H", h_small.nbytes)
-        sibling.memory.charge("precompute/P", p_small.nbytes)
-        sibling.memory.charge("precompute/Z", sibling._z.nbytes)
-        sibling._prepared = True
+        sibling = self._derived(
+            self.config.with_overrides(rank=rank),
+            np.ascontiguousarray(self._u[:, :rank]),
+            self._sigma[:rank].copy(),
+            self._h[:rank, :rank].copy(),
+        )
         sibling.approx_atol = truncation_atol(
-            cfg.damping,
-            truncation_residual_norms(self._z, z_small).max(),
+            sibling.config.damping,
+            truncation_residual_norms(self._z, sibling._z).max(),
             np.linalg.norm(self._u.astype(np.float64, copy=False), axis=1).max(),
             self.config.rank,
             self._z.dtype,
         )
+        return sibling
+
+    def _derived(
+        self,
+        config: CSRPlusConfig,
+        u_factor: np.ndarray,
+        sigma: np.ndarray,
+        h_matrix: np.ndarray,
+    ) -> "CSRPlusIndex":
+        """A prepared sibling from a reused SVD: Algorithm 1's lines 4-6.
+
+        Solves ``P`` from ``h_matrix`` and forms ``Z`` with prepare()'s
+        dtype policy: compute in float64, cast only the retained
+        factors.  Without the upcast a float32 ``U`` would promote
+        ``U @ (Sigma P Sigma)`` to float64 and keep it — a sibling whose
+        query dtype (and ledger) diverges from a freshly prepared one.
+        """
+        sibling = CSRPlusIndex(self.graph, config)
+        p_matrix, sibling.stein_iterations = solve_stein(
+            h_matrix, config.damping, config.epsilon, config.solver
+        )
+        z_matrix = u_factor.astype(np.float64, copy=False) @ sigma_p_sigma(
+            sigma, p_matrix
+        )
+        if config.dtype == "float32":
+            u_factor = u_factor.astype(np.float32, copy=False)
+            z_matrix = z_matrix.astype(np.float32)
+        sibling._u, sibling._sigma, sibling._h = u_factor, sigma, h_matrix
+        sibling._p, sibling._z = p_matrix, z_matrix
+        for label, factor in zip(
+            ("U", "Sigma", "H", "P", "Z"),
+            (u_factor, sigma, h_matrix, p_matrix, z_matrix),
+        ):
+            sibling.memory.charge(f"precompute/{label}", factor.nbytes)
+        sibling._prepared = True
         return sibling
 
     # ------------------------------------------------------------------
@@ -771,7 +738,10 @@ class CSRPlusIndex(SimilarityEngine):
         """Serialise the prepared index to an ``.npz`` file.
 
         Only the query-time factors (``U``, ``Z``) plus metadata are
-        stored — exactly the ``O(rn)`` state of Theorem 3.7.
+        stored — exactly the ``O(rn)`` state of Theorem 3.7.  The
+        metadata includes how the factors were made (``solver``,
+        ``dangling``, ``svd_seed``), so a loaded index re-damps and
+        truncates exactly like the one that was saved.
         """
         self._require_prepared()
         np.savez_compressed(
@@ -786,6 +756,9 @@ class CSRPlusIndex(SimilarityEngine):
             rank=np.int64(self.config.rank),
             epsilon=np.float64(self.config.epsilon),
             stein_iterations=np.int64(self.stein_iterations),
+            solver=self.config.solver,
+            dangling=self.config.dangling,
+            svd_seed=np.int64(self.config.svd_seed),
         )
 
     @classmethod
@@ -800,11 +773,20 @@ class CSRPlusIndex(SimilarityEngine):
                     f"saved index is for a graph with {num_nodes} nodes, "
                     f"got one with {graph.num_nodes}"
                 )
+            # files written before the pipeline keys get today's defaults
+            pipeline = {
+                key: cast(data[key])
+                for key, cast in (
+                    ("solver", str), ("dangling", str), ("svd_seed", int)
+                )
+                if key in data
+            }
             config = CSRPlusConfig(
                 damping=float(data["damping"]),
                 rank=int(data["rank"]),
                 epsilon=float(data["epsilon"]),
                 dtype=str(data["u"].dtype),
+                **pipeline,
             )
             index = cls(graph, config)
             index._u = data["u"]

@@ -12,6 +12,11 @@ problem.  Three interchangeable solvers are provided:
   ``vec(P) = (I - c H kron H)^{-1} vec(I)``; exact, ``O(r^6)``, used as
   ground truth in tests and in the squaring-vs-fixed-point ablation.
 
+:func:`solve_stein` dispatches on a configured solver name, and
+:func:`sigma_p_sigma` forms the ``Sigma P Sigma`` core of
+``Z = U (Sigma P Sigma)`` (Algorithm 1, line 6); every producer of
+CSR+ factors goes through these two.
+
 All three converge when ``sqrt(c) * ||H||_2 < 1``, which holds for
 CoSimRank because ``H = V^T U Sigma`` has spectral norm at most
 ``sigma_1(Q) <= 1`` for a column-substochastic ``Q`` and ``c < 1``.
@@ -33,6 +38,8 @@ __all__ = [
     "solve_stein_fixed_point",
     "solve_stein_squaring",
     "solve_stein_direct",
+    "solve_stein",
+    "sigma_p_sigma",
 ]
 
 
@@ -160,3 +167,30 @@ def solve_stein_direct(h: np.ndarray, c: float) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"direct Stein solve failed: {exc}") from exc
     return solution.reshape(r, r, order="F")
+
+
+def solve_stein(
+    h: np.ndarray, c: float, epsilon: float, solver: str
+) -> Tuple[np.ndarray, int]:
+    """``(P, iterations)`` from the named solver (``CSRPlusConfig.solver``).
+
+    ``"squaring"`` and ``"fixed_point"`` report their iteration counts;
+    ``"direct"`` reports ``0``.
+    """
+    if solver == "squaring":
+        return solve_stein_squaring(h, c, epsilon)
+    if solver == "fixed_point":
+        return solve_stein_fixed_point(h, c, epsilon)
+    if solver == "direct":
+        return solve_stein_direct(h, c), 0
+    raise InvalidParameterError(f"unknown Stein solver {solver!r}")
+
+
+def sigma_p_sigma(sigma: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """``Sigma P Sigma`` as ``(sigma[:, None] * P) * sigma[None, :]``.
+
+    The ``r x r`` core of ``Z = U (Sigma P Sigma)``.  The evaluation
+    order is fixed: every factor producer calls this one function, so
+    they all form the same bytes.
+    """
+    return (sigma[:, np.newaxis] * p) * sigma[np.newaxis, :]

@@ -51,12 +51,13 @@ from __future__ import annotations
 import os
 import shutil
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Callable, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.core.config import CSRPlusConfig
 from repro.core.index import (
+    CSRPlusIndex,
     replica_rank,
     truncation_atol,
     truncation_residual_norms,
@@ -69,25 +70,10 @@ from repro.errors import (
 )
 from repro.graphs.digraph import DiGraph
 from repro.graphs.transition import transition_matrix
-from repro.linalg.stein import (
-    solve_stein_direct,
-    solve_stein_fixed_point,
-    solve_stein_squaring,
-)
+from repro.linalg.stein import sigma_p_sigma, solve_stein
 from repro.linalg.svd import arpack_svds, truncated_svd, uses_dense_fallback
-from repro.sharding.manifest import (
-    MANIFEST_VERSION,
-    ShardManifest,
-    ShardMeta,
-    array_sha256,
-    plan_shards,
-)
-from repro.sharding.store import (
-    REPLICA_DIR,
-    ShardStore,
-    ShardStoreWriter,
-    _shard_file_names,
-)
+from repro.sharding.manifest import ShardManifest, array_sha256, plan_shards
+from repro.sharding.store import REPLICA_DIR, ShardStore, ShardStoreWriter
 
 __all__ = [
     "build_sharded_store",
@@ -103,14 +89,6 @@ DEFAULT_BLOCK_ROWS = 4096
 def _default_block_rows(num_nodes: int) -> int:
     """<= 1/8 of the factor rows, capped — keeps the buffer marginal."""
     return max(1, min(DEFAULT_BLOCK_ROWS, -(-num_nodes // 8)))
-
-
-def _solve_stein(h_matrix: np.ndarray, cfg: CSRPlusConfig) -> Tuple[np.ndarray, int]:
-    if cfg.solver == "squaring":
-        return solve_stein_squaring(h_matrix, cfg.damping, cfg.epsilon)
-    if cfg.solver == "fixed_point":
-        return solve_stein_fixed_point(h_matrix, cfg.damping, cfg.epsilon)
-    return solve_stein_direct(h_matrix, cfg.damping), 0
 
 
 #: What a factor pass yields: the retained ``n x r`` query factor ``U``
@@ -176,9 +154,9 @@ def _factors_streaming(
     del q_matrix
     meter.release("shard/Q")
 
-    p_matrix, iterations = _solve_stein(h_matrix, cfg)
+    p_matrix, iterations = solve_stein(h_matrix, cfg.damping, cfg.epsilon, cfg.solver)
     meter.charge("shard/P", p_matrix.nbytes)
-    sps = (sigma[:, np.newaxis] * p_matrix) * sigma[np.newaxis, :]
+    sps = sigma_p_sigma(sigma, p_matrix)
 
     def z_block_of(start: int, stop: int) -> np.ndarray:
         return u_factor[start:stop, :] @ sps
@@ -212,10 +190,9 @@ def _factors_dense(
     del v_factor, q_matrix
     meter.release("shard/V")
     meter.release("shard/Q")
-    p_matrix, iterations = _solve_stein(h_matrix, cfg)
+    p_matrix, iterations = solve_stein(h_matrix, cfg.damping, cfg.epsilon, cfg.solver)
     meter.charge("shard/P", p_matrix.nbytes)
-    sps = (svd.sigma[:, np.newaxis] * p_matrix) * svd.sigma[np.newaxis, :]
-    z_matrix = u_factor @ sps
+    z_matrix = u_factor @ sigma_p_sigma(svd.sigma, p_matrix)
     meter.charge("shard/Z", z_matrix.nbytes)
     return (
         u_factor,
@@ -231,7 +208,9 @@ def _compute_factors(
     cfg: CSRPlusConfig,
     meter: MemoryMeter,
     block_rows: Optional[int],
-) -> _Factors:
+) -> Tuple[_Factors, int]:
+    """The factor pass for ``graph``, plus the streaming block height it
+    used (``0``: the dense path ran)."""
     max_rank = max(1, graph.num_nodes)
     if cfg.rank > max_rank:
         raise InvalidParameterError(
@@ -243,10 +222,9 @@ def _compute_factors(
         )
     shape = (graph.num_nodes, graph.num_nodes)
     if uses_dense_fallback(shape, cfg.rank):
-        return _factors_dense(graph, cfg, meter)
-    return _factors_streaming(
-        graph, cfg, meter, block_rows or _default_block_rows(graph.num_nodes)
-    )
+        return _factors_dense(graph, cfg, meter), 0
+    block_rows = block_rows or _default_block_rows(graph.num_nodes)
+    return _factors_streaming(graph, cfg, meter, block_rows), block_rows
 
 
 def _cast_block(block: np.ndarray, dtype: str) -> np.ndarray:
@@ -303,38 +281,26 @@ def build_sharded_store(
     """
     cfg = (config or CSRPlusConfig()).with_overrides(**overrides)
     meter = memory if memory is not None else MemoryMeter(cfg.memory_budget_bytes)
-    u_factor, sigma, h_matrix, z_block_of, iterations = _compute_factors(
-        graph, cfg, meter, block_rows
-    )
+    factors, block_rows = _compute_factors(graph, cfg, meter, block_rows)
+    u_factor, sigma, h_matrix, z_block_of, iterations = factors
     # The effective streaming block height is part of the determinism
     # record: blockwise H accumulation is partition-dependent in
     # floating point, so rebuilds must replay the same height (0 = the
     # dense path ran and no streaming was involved).
-    shape = (graph.num_nodes, graph.num_nodes)
-    if uses_dense_fallback(shape, cfg.rank):
-        effective_block_rows = 0
-    else:
-        effective_block_rows = block_rows or _default_block_rows(graph.num_nodes)
     writer = ShardStoreWriter(
         path,
         plan_shards(graph.num_nodes, num_shards),
-        rank=cfg.rank,
-        damping=cfg.damping,
-        epsilon=cfg.epsilon,
-        dtype=cfg.dtype,
+        cfg,
         builder="out-of-core",
         stein_iterations=iterations,
+        block_rows=block_rows,
         overwrite=overwrite,
-        svd_seed=cfg.svd_seed,
-        solver=cfg.solver,
-        dangling=cfg.dangling,
-        block_rows=effective_block_rows,
     )
     replica = None
     if replica_path is not None:
         replica = _ReplicaWriter(
             replica_path, writer.boundaries, sigma, h_matrix, cfg,
-            effective_block_rows, overwrite,
+            block_rows, overwrite,
         )
     elif overwrite:
         shutil.rmtree(os.path.join(writer.path, REPLICA_DIR), ignore_errors=True)
@@ -358,7 +324,7 @@ def build_sharded_store(
     store = writer.finalize()
     # Everything the factor pipeline retained dies with this frame —
     # settle the ledger so the peak is the build's only legacy.
-    del u_factor, z_block_of
+    del factors, u_factor, z_block_of
     for label in list(meter.live_breakdown()):
         if label.startswith("shard/"):
             meter.release(label)
@@ -383,26 +349,18 @@ class _ReplicaWriter:
     ):
         self.cfg = cfg
         self.rank = replica_rank(cfg.rank)
-        small = cfg.with_overrides(rank=self.rank)
-        p_small, iterations = _solve_stein(
-            h_matrix[: self.rank, : self.rank], small
+        p_small, iterations = solve_stein(
+            h_matrix[: self.rank, : self.rank], cfg.damping, cfg.epsilon, cfg.solver
         )
-        sigma_small = sigma[: self.rank]
-        self.sps = (sigma_small[:, np.newaxis] * p_small) * sigma_small[np.newaxis, :]
+        self.sps = sigma_p_sigma(sigma[: self.rank], p_small)
         self.writer = ShardStoreWriter(
             path,
             boundaries,
-            rank=self.rank,
-            damping=cfg.damping,
-            epsilon=cfg.epsilon,
-            dtype=cfg.dtype,
+            cfg.with_overrides(rank=self.rank),
             builder="replica",
             stein_iterations=iterations,
-            overwrite=overwrite,
-            svd_seed=cfg.svd_seed,
-            solver=cfg.solver,
-            dangling=cfg.dangling,
             block_rows=block_rows,
+            overwrite=overwrite,
         )
         self.max_residual = 0.0
         self.max_u_norm = 0.0
@@ -481,39 +439,10 @@ def rebuild_shards(
             )
     if not targets:
         return []
-    if manifest.builder == "replica":
-        raise InvalidParameterError(
-            f"store at {root!r} is a replica; rebuild it together with "
-            "its exact store (build_sharded_store's replica_path)"
-        )
-    cfg = CSRPlusConfig(
-        damping=manifest.damping,
-        rank=manifest.rank,
-        epsilon=manifest.epsilon,
-        solver=manifest.solver,
-        dangling=manifest.dangling,
-        svd_seed=manifest.svd_seed,
-        dtype=manifest.dtype,
-    )
-    if manifest.builder == "from-index":
-        from repro.core.index import CSRPlusIndex
-
-        index = CSRPlusIndex(graph, cfg).prepare()
-        u_matrix, _, _, z_matrix = index.factors
-        u_factor, z_block_of = u_matrix, (
-            lambda start, stop: z_matrix[start:stop, :]
-        )
-        cast = lambda block: np.ascontiguousarray(block)  # noqa: E731
-    else:
-        meter = MemoryMeter()
-        u_factor, _, _, z_block_of, _ = _compute_factors(
-            graph, cfg, meter, manifest.block_rows or None
-        )
-        cast = lambda block: _cast_block(block, cfg.dtype)  # noqa: E731
+    blocks_of, _ = _replay(graph, root, manifest)
     for i in targets:
         meta = manifest.shards[i]
-        z_block = cast(z_block_of(meta.start, meta.stop))
-        u_block = cast(u_factor[meta.start : meta.stop, :])
+        z_block, u_block = blocks_of(meta.start, meta.stop)
         if verify:
             for name, block, digest in (
                 ("Z", z_block, meta.z_sha256),
@@ -529,11 +458,10 @@ def rebuild_shards(
                         f"{actual[:12]}...); graph/config no longer match "
                         "the store",
                     )
-        z_name, u_name = _shard_file_names(i)
-        np.save(os.path.join(root, z_name), z_block)
-        np.save(os.path.join(root, u_name), u_block)
+        np.save(os.path.join(root, meta.z_file), z_block)
+        np.save(os.path.join(root, meta.u_file), u_block)
         # drop any quarantined leftovers for the repaired files
-        for leftover in (z_name, u_name):
+        for leftover in (meta.z_file, meta.u_file):
             try:
                 os.remove(os.path.join(root, leftover + ".corrupt"))
             except OSError:
@@ -563,16 +491,6 @@ class ShardRepairReport:
     def open(self, **kwargs) -> ShardStore:
         """Open the repaired store for serving."""
         return ShardStore(self.path, **kwargs)
-
-
-def _link_or_copy(src: str, dst: str) -> None:
-    """Hard-link ``src`` to ``dst`` (byte sharing), copying as fallback."""
-    try:
-        if os.path.exists(dst):
-            os.remove(dst)
-        os.link(src, dst)
-    except OSError:
-        shutil.copy2(src, dst)
 
 
 def repair_sharded_store(
@@ -606,6 +524,12 @@ def repair_sharded_store(
     count always forces the full rebuild, since row ranges no longer
     correspond.
 
+    Either way one :class:`~repro.sharding.store.ShardStoreWriter`
+    writes each rewritten shard and links each clean one.  A replica
+    store is refused, as by :func:`rebuild_shards`: its factors are a
+    truncation of its exact store's, so repair the exact store and
+    rebuild the replica with it.
+
     The repaired store's bytes equal a from-scratch build against the
     mutated graph in every case: clean shards are proven equal by
     digest, dirty shards are freshly written from the recomputed
@@ -622,40 +546,15 @@ def repair_sharded_store(
         raise InvalidParameterError(
             f"dirty_threshold must be in [0, 1], got {dirty_threshold}"
         )
-    if os.path.exists(new_root):
-        if not overwrite:
-            raise InvalidParameterError(
-                f"repair target {new_root!r} already exists "
-                "(pass overwrite=True to replace it)"
-            )
-        shutil.rmtree(new_root)
-    manifest = ShardManifest.load(old_root)
-    cfg = CSRPlusConfig(
-        damping=manifest.damping,
-        rank=manifest.rank,
-        epsilon=manifest.epsilon,
-        solver=manifest.solver,
-        dangling=manifest.dangling,
-        svd_seed=manifest.svd_seed,
-        dtype=manifest.dtype,
-    )
-    if manifest.builder == "from-index":
-        from repro.core.index import CSRPlusIndex
-
-        index = CSRPlusIndex(graph, cfg).prepare()
-        u_matrix, _, _, z_matrix = index.factors
-        u_factor = u_matrix
-        z_block_of = lambda start, stop: z_matrix[start:stop, :]  # noqa: E731
-        cast = lambda block: np.ascontiguousarray(block)  # noqa: E731
-        iterations = int(index.stein_iterations)
-    else:
-        u_factor, _, _, z_block_of, iterations = _compute_factors(
-            graph, cfg, MemoryMeter(), manifest.block_rows or None
+    if os.path.exists(new_root) and not overwrite:
+        raise InvalidParameterError(
+            f"repair target {new_root!r} already exists "
+            "(pass overwrite=True to replace it)"
         )
-        cast = lambda block: _cast_block(block, cfg.dtype)  # noqa: E731
-
-    def blocks_of(start: int, stop: int) -> Tuple[np.ndarray, np.ndarray]:
-        return cast(z_block_of(start, stop)), cast(u_factor[start:stop, :])
+    manifest = ShardManifest.load(old_root)
+    blocks_of, iterations = _replay(graph, old_root, manifest)
+    if os.path.exists(new_root):
+        shutil.rmtree(new_root)
 
     node_count_changed = manifest.num_nodes != graph.num_nodes
     boundaries = plan_shards(graph.num_nodes, manifest.num_shards)
@@ -674,89 +573,69 @@ def repair_sharded_store(
             del z_block, u_block
     dirty_fraction = len(dirty) / total if total else 0.0
     full_rebuild = node_count_changed or dirty_fraction > dirty_threshold
+    rewrite = range(total) if full_rebuild else dirty
 
-    if full_rebuild:
-        writer = ShardStoreWriter(
-            new_root,
-            boundaries,
-            rank=cfg.rank,
-            damping=cfg.damping,
-            epsilon=cfg.epsilon,
-            dtype=cfg.dtype,
-            builder=manifest.builder,
-            stein_iterations=iterations,
-            svd_seed=cfg.svd_seed,
-            solver=cfg.solver,
-            dangling=cfg.dangling,
-            block_rows=manifest.block_rows,
-        )
-        for i, (start, stop) in enumerate(writer.boundaries):
-            z_block, u_block = blocks_of(start, stop)
-            writer.write_shard(i, z_block, u_block)
-            del z_block, u_block
-        writer.finalize()
-        return ShardRepairReport(
-            path=new_root,
-            repaired_shards=tuple(range(total)),
-            total_shards=total,
-            dirty_fraction=1.0 if node_count_changed else dirty_fraction,
-            full_rebuild=True,
-            dirty_ranges=((0, graph.num_nodes),),
-        )
-
-    os.makedirs(new_root, exist_ok=True)
-    dirty_set = set(dirty)
-    new_metas: List[ShardMeta] = []
-    for meta in manifest.shards:
-        z_name, u_name = _shard_file_names(meta.index)
-        if meta.index in dirty_set:
-            z_block, u_block = blocks_of(meta.start, meta.stop)
-            np.save(os.path.join(new_root, z_name), z_block)
-            np.save(os.path.join(new_root, u_name), u_block)
-            z_norms = np.linalg.norm(
-                z_block.astype(np.float64, copy=False), axis=1
-            )
-            new_metas.append(
-                ShardMeta(
-                    index=meta.index,
-                    start=meta.start,
-                    stop=meta.stop,
-                    z_file=z_name,
-                    u_file=u_name,
-                    z_sha256=array_sha256(z_block),
-                    u_sha256=array_sha256(u_block),
-                    z_norm_max=float(z_norms.max()) if z_norms.size else 0.0,
-                )
-            )
-            del z_block, u_block
-        else:
-            for name in (z_name, u_name):
-                _link_or_copy(
-                    os.path.join(old_root, name), os.path.join(new_root, name)
-                )
-            new_metas.append(meta)
-    ShardManifest(
-        version=MANIFEST_VERSION,
-        num_nodes=graph.num_nodes,
-        rank=cfg.rank,
-        damping=cfg.damping,
-        epsilon=cfg.epsilon,
-        dtype=cfg.dtype,
+    # One writer either way: rewritten shards are written, the rest are
+    # adopted from the old store by hard link with their manifest entry.
+    writer = ShardStoreWriter(
+        new_root,
+        boundaries,
+        manifest.config,
         builder=manifest.builder,
         stein_iterations=iterations,
-        svd_seed=cfg.svd_seed,
-        solver=cfg.solver,
-        dangling=cfg.dangling,
         block_rows=manifest.block_rows,
-        shards=new_metas,
-    ).save(new_root)
+    )
+    for i, (start, stop) in enumerate(boundaries):
+        if i in rewrite:
+            writer.write_shard(i, *blocks_of(start, stop))
+        else:
+            writer.link_shard(i, old_root, manifest.shards[i])
+    writer.finalize()
     return ShardRepairReport(
         path=new_root,
-        repaired_shards=tuple(dirty),
+        repaired_shards=tuple(rewrite),
         total_shards=total,
-        dirty_fraction=dirty_fraction,
-        full_rebuild=False,
-        dirty_ranges=tuple(
-            (manifest.shards[i].start, manifest.shards[i].stop) for i in dirty
+        dirty_fraction=1.0 if node_count_changed else dirty_fraction,
+        full_rebuild=full_rebuild,
+        dirty_ranges=(
+            ((0, graph.num_nodes),)
+            if full_rebuild
+            else tuple(boundaries[i] for i in dirty)
         ),
     )
+
+
+def _replay(
+    graph: DiGraph, root: str, manifest: ShardManifest
+) -> Tuple[Callable[[int, int], Tuple[np.ndarray, np.ndarray]], int]:
+    """Re-run the pipeline ``manifest`` records against ``graph``.
+
+    Returns ``blocks_of(start, stop) -> (Z, U)``, the rows of both
+    factors in the store dtype, and the Stein iteration count.  A
+    replica store is refused: its factors are a truncation of its exact
+    store's build, not a build of their own.
+    """
+    if manifest.builder == "replica":
+        raise InvalidParameterError(
+            f"store at {root!r} is a replica; rebuild it together with "
+            "its exact store (build_sharded_store's replica_path)"
+        )
+    cfg = manifest.config
+    if manifest.builder == "from-index":
+        index = CSRPlusIndex(graph, cfg).prepare()
+        u_factor, _, _, z_matrix = index.factors
+        z_block_of = lambda start, stop: z_matrix[start:stop, :]  # noqa: E731
+        iterations = index.stein_iterations
+    else:
+        factors, _ = _compute_factors(
+            graph, cfg, MemoryMeter(), manifest.block_rows or None
+        )
+        u_factor, _, _, z_block_of, iterations = factors
+
+    def blocks_of(start: int, stop: int) -> Tuple[np.ndarray, np.ndarray]:
+        return (
+            _cast_block(z_block_of(start, stop), cfg.dtype),
+            _cast_block(u_factor[start:stop, :], cfg.dtype),
+        )
+
+    return blocks_of, int(iterations)

@@ -46,7 +46,7 @@ from typing import Dict, Optional, Union
 import numpy as np
 
 import repro.obs as obs
-from repro.core.config import QUERY_MODES, CSRPlusConfig
+from repro.core.config import QUERY_MODES
 from repro.core.index import exact_columns
 from repro.errors import InvalidParameterError, ShardCorrupted
 from repro.obs.metrics import MetricsRegistry
@@ -132,13 +132,8 @@ class ShardedIndex:
             store = ShardStore(store)
         self._store = store
         self._router = ShardRouter(store.boundaries)
-        manifest = store.manifest
-        self.config = CSRPlusConfig(
-            damping=manifest.damping,
-            rank=manifest.rank,
-            epsilon=manifest.epsilon,
-            dtype=manifest.dtype,
-            query_mode=query_mode or "exact",
+        self.config = store.manifest.config.with_overrides(
+            query_mode=query_mode or "exact"
         )
         self.max_workers = int(
             max_workers

@@ -30,6 +30,7 @@ from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.core.config import CSRPlusConfig
 from repro.errors import InvalidParameterError, ShardCorrupted
 
 __all__ = [
@@ -156,6 +157,25 @@ class ShardManifest:
     @property
     def boundaries(self) -> List[Tuple[int, int]]:
         return [(meta.start, meta.stop) for meta in self.shards]
+
+    @property
+    def config(self) -> CSRPlusConfig:
+        """The pipeline this store's factors came from, as a config.
+
+        What a rebuild or repair replays, and what a
+        :class:`~repro.sharding.ShardedIndex` over the store reports.
+        Fields the manifest does not record (``query_mode``,
+        ``memory_budget_bytes``) keep their defaults.
+        """
+        return CSRPlusConfig(
+            damping=self.damping,
+            rank=self.rank,
+            epsilon=self.epsilon,
+            solver=self.solver,
+            dangling=self.dangling,
+            svd_seed=self.svd_seed,
+            dtype=self.dtype,
+        )
 
     def validate(self) -> None:
         """Structural sanity: shards tile ``[0, num_nodes)`` in order."""

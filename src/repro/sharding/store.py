@@ -30,11 +30,13 @@ sharded index's retry + validation logic is proven against it.
 from __future__ import annotations
 
 import os
+import shutil
 from dataclasses import dataclass
 from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.core.config import CSRPlusConfig
 from repro.errors import InvalidParameterError, ShardCorrupted
 from repro.sharding.manifest import (
     MANIFEST_NAME,
@@ -95,25 +97,27 @@ class ShardStoreWriter:
     The out-of-core builder hands each ``(Z block, U block)`` pair to
     :meth:`write_shard` as soon as it is computed and frees it
     immediately after, so the writer never holds more than the shard
-    currently being persisted.  :meth:`finalize` refuses to run until
-    every planned shard was written — a crashed build leaves no
-    manifest, and a store without a manifest does not open.
+    currently being persisted; :meth:`link_shard` instead adopts an
+    unchanged shard from another store (targeted repair).
+    :meth:`finalize` refuses to run until every planned shard was
+    written or linked — a crashed build leaves no manifest, and a store
+    without a manifest does not open.
+
+    ``config`` is the pipeline the factors came from; the manifest
+    records its rank, damping, epsilon, dtype, solver, dangling policy
+    and SVD seed (:attr:`ShardManifest.config` reads them back), plus
+    the ``builder`` provenance, the Stein iteration count and the
+    streaming ``block_rows``.
     """
 
     def __init__(
         self,
         path: Union[str, "os.PathLike[str]"],
         boundaries: List[Tuple[int, int]],
+        config: CSRPlusConfig,
         *,
-        rank: int,
-        damping: float,
-        epsilon: float,
-        dtype: str,
         builder: str,
         stein_iterations: int = 0,
-        svd_seed: int = 0,
-        solver: str = "squaring",
-        dangling: str = "zero",
         block_rows: int = 0,
         overwrite: bool = False,
     ):
@@ -121,16 +125,11 @@ class ShardStoreWriter:
         if not boundaries:
             raise InvalidParameterError("boundaries must be non-empty")
         self._boundaries = [(int(a), int(b)) for a, b in boundaries]
-        self._num_nodes = self._boundaries[-1][1]
-        self._rank = int(rank)
-        self._damping = float(damping)
-        self._epsilon = float(epsilon)
-        self._dtype = np.dtype(dtype)
+        self._config = config
+        self._rank = int(config.rank)
+        self._dtype = np.dtype(config.dtype)
         self._builder = str(builder)
         self._stein_iterations = int(stein_iterations)
-        self._svd_seed = int(svd_seed)
-        self._solver = str(solver)
-        self._dangling = str(dangling)
         self._block_rows = int(block_rows)
         self._written: dict = {}
         if os.path.exists(os.path.join(self.path, MANIFEST_NAME)):
@@ -145,14 +144,17 @@ class ShardStoreWriter:
     def boundaries(self) -> List[Tuple[int, int]]:
         return list(self._boundaries)
 
-    def write_shard(self, index: int, z_block: np.ndarray, u_block: np.ndarray) -> ShardMeta:
-        """Persist one shard's factor blocks and record their digests."""
+    def _slot(self, index: int) -> Tuple[int, int]:
         if not (0 <= index < len(self._boundaries)):
             raise InvalidParameterError(
                 f"shard index {index} out of range "
                 f"[0, {len(self._boundaries)})"
             )
-        start, stop = self._boundaries[index]
+        return self._boundaries[index]
+
+    def write_shard(self, index: int, z_block: np.ndarray, u_block: np.ndarray) -> ShardMeta:
+        """Persist one shard's factor blocks and record their digests."""
+        start, stop = self._slot(index)
         for name, block in (("Z", z_block), ("U", u_block)):
             if block.shape != (stop - start, self._rank):
                 raise InvalidParameterError(
@@ -186,6 +188,31 @@ class ShardStoreWriter:
         self._written[int(index)] = meta
         return meta
 
+    def link_shard(
+        self, index: int, root: Union[str, "os.PathLike[str]"], meta: ShardMeta
+    ) -> None:
+        """Adopt shard ``index`` unchanged from the store at ``root``.
+
+        ``meta`` is that store's manifest entry for the shard.  Its
+        files are hard-linked into this store (byte sharing; a copy
+        where links are unsupported) and its entry is recorded as is.
+        """
+        if (meta.index, meta.start, meta.stop) != (index, *self._slot(index)):
+            raise InvalidParameterError(
+                f"shard {meta.index} [{meta.start}, {meta.stop}) does not "
+                f"fill slot {index} of this store"
+            )
+        for name in (meta.z_file, meta.u_file):
+            source = os.path.join(os.fspath(root), name)
+            target = os.path.join(self.path, name)
+            try:
+                if os.path.exists(target):
+                    os.remove(target)
+                os.link(source, target)
+            except OSError:
+                shutil.copy2(source, target)
+        self._written[int(index)] = meta
+
     def finalize(self, approx_atol: Optional[float] = None) -> "ShardStore":
         """Write the manifest (all shards must have been written).
 
@@ -200,18 +227,19 @@ class ShardStoreWriter:
                 f"cannot finalize shard store: shards {missing} were "
                 "never written"
             )
+        cfg = self._config
         manifest = ShardManifest(
             version=MANIFEST_VERSION,
-            num_nodes=self._num_nodes,
+            num_nodes=self._boundaries[-1][1],
             rank=self._rank,
-            damping=self._damping,
-            epsilon=self._epsilon,
+            damping=float(cfg.damping),
+            epsilon=float(cfg.epsilon),
             dtype=self._dtype.name,
             builder=self._builder,
             stein_iterations=self._stein_iterations,
-            svd_seed=self._svd_seed,
-            solver=self._solver,
-            dangling=self._dangling,
+            svd_seed=int(cfg.svd_seed),
+            solver=cfg.solver,
+            dangling=cfg.dangling,
             block_rows=self._block_rows,
             shards=[self._written[i] for i in range(len(self._boundaries))],
             approx_atol=approx_atol,
@@ -408,15 +436,9 @@ def shard_index(
     writer = ShardStoreWriter(
         path,
         plan_shards(index.num_nodes, num_shards),
-        rank=index.config.rank,
-        damping=index.config.damping,
-        epsilon=index.config.epsilon,
-        dtype=z_matrix.dtype.name,
+        index.config,
         builder="from-index",
         stein_iterations=index.stein_iterations,
-        svd_seed=index.config.svd_seed,
-        solver=index.config.solver,
-        dangling=index.config.dangling,
         overwrite=overwrite,
     )
     for i, (start, stop) in enumerate(writer.boundaries):

@@ -158,6 +158,35 @@ class TestPersistence:
         assert loaded.config.rank == 6
         assert loaded.is_prepared
 
+    def test_save_load_keeps_the_factor_pipeline(self, tmp_path, small_er):
+        """solver, dangling and svd_seed survive a round trip, so a loaded
+        index re-damps to the same bytes as the index it was saved from."""
+        index = CSRPlusIndex(
+            small_er, rank=6, solver="direct", dangling="uniform", svd_seed=3
+        ).prepare()
+        path = tmp_path / "index.npz"
+        index.save(path)
+        loaded = CSRPlusIndex.load(path, small_er)
+        assert (loaded.config.solver, loaded.config.dangling) == ("direct", "uniform")
+        assert loaded.config.svd_seed == 3
+        want = index.rebuild_for_damping(0.8).factors[3]
+        got = loaded.rebuild_for_damping(0.8).factors[3]
+        assert got.tobytes() == want.tobytes()
+
+    def test_load_files_without_the_pipeline_keys(self, tmp_path, small_er):
+        index = CSRPlusIndex(small_er, rank=5).prepare()
+        path = tmp_path / "index.npz"
+        index.save(path)
+        with np.load(path) as data:
+            arrays = {
+                key: data[key]
+                for key in data.files
+                if key not in ("solver", "dangling", "svd_seed")
+            }
+        np.savez_compressed(path, **arrays)
+        loaded = CSRPlusIndex.load(path, small_er)
+        assert loaded.config == index.config
+
     def test_save_requires_prepare(self, tmp_path, small_er):
         index = CSRPlusIndex(small_er, rank=5)
         with pytest.raises(NotPreparedError):

@@ -1,5 +1,7 @@
 """Out-of-core builder: equivalence, memory accounting, determinism."""
 
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -14,8 +16,19 @@ from repro.sharding import (
     ShardedIndex,
     build_sharded_store,
     rebuild_shards,
+    repair_sharded_store,
     replica_store_path,
 )
+
+
+def _file_bytes(root):
+    """Every file under ``root``, keyed by its path relative to it."""
+    root = pathlib.Path(root)
+    return {
+        str(path.relative_to(root)): path.read_bytes()
+        for path in sorted(root.rglob("*"))
+        if path.is_file()
+    }
 
 
 class TestDensePathFidelity:
@@ -194,3 +207,50 @@ class TestReplicaStore:
         )
         with pytest.raises(InvalidParameterError, match="replica"):
             rebuild_shards(ring(40), store_path / REPLICA_DIR, [0])
+
+    def test_repair_refuses_a_replica(self, tmp_path):
+        store_path = tmp_path / "s"
+        build_sharded_store(
+            ring(40), store_path, num_shards=2, config=CSRPlusConfig(rank=4),
+            replica_path=store_path / REPLICA_DIR,
+        )
+        with pytest.raises(InvalidParameterError, match="replica"):
+            repair_sharded_store(
+                ring(40).with_edges_added([(0, 20)]),
+                store_path / REPLICA_DIR,
+                tmp_path / "repaired",
+            )
+        assert not (tmp_path / "repaired").exists()
+
+
+class TestRepairMatchesFreshBuild:
+    """A repaired store is a from-scratch build of the mutated graph,
+    file for file: shards, ``manifest.json`` and its sidecar."""
+
+    @pytest.mark.parametrize(
+        "graph, config",
+        [
+            (erdos_renyi(40, 160, seed=3), CSRPlusConfig(rank=4)),
+            (chung_lu(300, 1500, seed=7), CSRPlusConfig(rank=6)),
+            (chung_lu(300, 1500, seed=7), CSRPlusConfig(rank=6, dtype="float32")),
+        ],
+        ids=["dense", "streaming", "streaming-float32"],
+    )
+    @pytest.mark.parametrize("threshold", [1.0, 0.0], ids=["partial", "full"])
+    @pytest.mark.parametrize("mutate", [True, False], ids=["batch", "no-op"])
+    def test_repair_equals_fresh_build(
+        self, graph, config, threshold, mutate, tmp_path
+    ):
+        build_sharded_store(graph, tmp_path / "old", num_shards=4, config=config)
+        mutated = graph.with_edges_added([(0, 17), (5, 31)]) if mutate else graph
+        report = repair_sharded_store(
+            mutated, tmp_path / "old", tmp_path / "new",
+            dirty_threshold=threshold,
+        )
+        fresh = build_sharded_store(
+            mutated, tmp_path / "fresh", num_shards=4, config=config
+        )
+        assert _file_bytes(report.path) == _file_bytes(fresh.path)
+        if not mutate:
+            assert report.repaired_shards == ()
+            assert not report.full_rebuild

@@ -96,6 +96,17 @@ class TestServiceSurface:
             assert sharded.dtype == np.float64
             assert sharded.config.query_mode == "exact"
 
+    def test_config_replays_the_manifest(self, graph, tmp_path):
+        """The backend's config is the store's pipeline, not the defaults."""
+        built = CSRPlusIndex(
+            graph, rank=5, solver="direct", dangling="uniform", svd_seed=7
+        ).prepare()
+        store = shard_index(built, tmp_path / "direct", num_shards=2)
+        with ShardedIndex(store, query_mode="batched") as sharded:
+            assert sharded.config == built.config.with_overrides(
+                query_mode="batched"
+            )
+
     def test_invalid_parameters(self, store):
         with pytest.raises(InvalidParameterError):
             ShardedIndex(store, query_mode="nope")

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.config import CSRPlusConfig
 from repro.core.index import CSRPlusIndex
 from repro.errors import InvalidParameterError, ShardCorrupted
 from repro.graphs.generators import erdos_renyi
@@ -60,8 +61,8 @@ class TestWriter:
         writer = ShardStoreWriter(
             tmp_path / "w",
             plan_shards(6, 2),
-            rank=2, damping=0.6, epsilon=1e-8,
-            dtype="float64", builder="from-index",
+            CSRPlusConfig(rank=2, damping=0.6, epsilon=1e-8),
+            builder="from-index",
         )
         writer.write_shard(0, np.zeros((3, 2)), np.zeros((3, 2)))
         with pytest.raises(InvalidParameterError) as excinfo:
@@ -72,8 +73,8 @@ class TestWriter:
         writer = ShardStoreWriter(
             tmp_path / "w",
             plan_shards(6, 2),
-            rank=2, damping=0.6, epsilon=1e-8,
-            dtype="float64", builder="from-index",
+            CSRPlusConfig(rank=2, damping=0.6, epsilon=1e-8),
+            builder="from-index",
         )
         with pytest.raises(InvalidParameterError):
             writer.write_shard(0, np.zeros((2, 2)), np.zeros((3, 2)))
@@ -86,13 +87,35 @@ class TestWriter:
         writer = ShardStoreWriter(
             tmp_path / "w",
             plan_shards(6, 2),
-            rank=2, damping=0.6, epsilon=1e-8,
-            dtype="float64", builder="from-index",
+            CSRPlusConfig(rank=2, damping=0.6, epsilon=1e-8),
+            builder="from-index",
         )
         writer.write_shard(0, np.zeros((3, 2)), np.zeros((3, 2)))
         # no finalize(): no manifest, so the partial store does not open
         with pytest.raises(OSError):
             ShardStore(tmp_path / "w")
+
+    def test_link_shard_adopts_files_and_entry(self, index, store, tmp_path):
+        writer = ShardStoreWriter(
+            tmp_path / "copy", store.boundaries, index.config,
+            builder="from-index", stein_iterations=index.stein_iterations,
+        )
+        for meta in store.manifest.shards:
+            writer.link_shard(meta.index, store.path, meta)
+        copy = writer.finalize()
+        assert copy.manifest == store.manifest
+        for i in range(store.num_shards):
+            copy.verify_shard(i)
+
+    def test_link_shard_rejects_another_slot(self, store, tmp_path):
+        writer = ShardStoreWriter(
+            tmp_path / "copy", store.boundaries, CSRPlusConfig(rank=4),
+            builder="from-index",
+        )
+        with pytest.raises(InvalidParameterError):
+            writer.link_shard(1, store.path, store.manifest.shards[0])
+        with pytest.raises(InvalidParameterError):
+            writer.link_shard(3, store.path, store.manifest.shards[0])
 
 
 class TestIntegrity:
