@@ -27,19 +27,23 @@ Two kernels implement this idea (docs/topk.md):
 
 Both kernels reproduce ``SimilarityEngine.top_k``'s exact ordering —
 descending score, ties broken by ascending node id — so their results
-are drop-in substitutes for the full-sort path.  In ``"exact"`` query
-mode the blockwise scores are *bit-identical* to the full column
-(the partition-stable :func:`~repro.core.index.exact_columns` kernel,
-one call per block for all live seeds, evaluates each row
-independently); ``"batched"`` mode uses one GEMM per block and
-inherits the :func:`~repro.core.index.batched_query_atol` tolerance
-contract.
+are drop-in substitutes for the full-sort path.  Both query modes
+score each block with one GEMM.  ``"batched"`` mode keeps those scores
+and inherits the :func:`~repro.core.index.batched_query_atol`
+tolerance contract.  ``"exact"`` mode uses them only as a filter: a
+proven bound on the GEMM's rounding (:func:`filter_margin`) decides
+which rows could still place, and only those are rescored with the
+partition-stable :func:`~repro.core.index.exact_columns` kernel, so
+the scores are *bit-identical* to the full column and the rankings do
+not depend on the GEMM's bits.  A seed whose ``U`` row is all zero
+scores ``+-0`` against every other node; its ranking is written down
+without scanning a block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -64,7 +68,8 @@ class TopKResult:
     nodes: np.ndarray
     #: matching similarity scores
     scores: np.ndarray
-    #: how many candidates were actually scored (<= n)
+    #: how many candidates the block product scored (<= n); in exact
+    #: mode the exact kernel rescores only the filter's survivors
     candidates_scored: int
     #: row-blocks whose scores were computed for this seed
     blocks_scanned: int = 0
@@ -235,8 +240,10 @@ def top_k_blockwise(
 ) -> List[TopKResult]:
     """Exact multi-seed top-k via blockwise evaluation with pruning.
 
-    Evaluates ``Z[blk] @ U[Q,:]^T`` one row-block at a time, keeps a
-    per-seed running top-k, and visits blocks in decreasing
+    Evaluates ``Z[blk] @ U[Q,:]^T`` one row-block at a time (one GEMM;
+    in exact mode a filter whose survivors the exact kernel rescores,
+    docs/topk.md), keeps a per-seed running top-k, and visits blocks
+    in decreasing
     ``max ||Z[x]||`` order so that a block whose Cauchy–Schwarz bound
     ``c * max||Z[x]|| * ||U[q]||`` falls below a seed's current k-th
     floor is skipped for that seed — and never loaded at all once every
@@ -316,6 +323,7 @@ def top_k_blockwise(
     rank = int(index.config.rank)
     dtype = index.dtype
     k_eff = min(int(k), n - 1 if exclude_self else n)
+    exact = mode == "exact"
 
     u_rows = source.u_rows(seed_ids)
     u_norms = np.linalg.norm(u_rows.astype(np.float64, copy=False), axis=1)
@@ -324,6 +332,7 @@ def top_k_blockwise(
     # bound by the documented tolerance makes wrongly pruning a true
     # top-k candidate impossible in either mode.
     safety = batched_query_atol(rank, dtype)
+    margin_scale, margin_floor = filter_margin(rank, dtype)
 
     empty_nodes = np.empty(0, dtype=np.int64)
     empty_scores = np.empty(0, dtype=dtype)
@@ -331,6 +340,8 @@ def top_k_blockwise(
     best_scores = [empty_scores] * num_seeds
     floors = np.full(num_seeds, -np.inf)
     filled = np.zeros(num_seeds, dtype=bool)
+    #: seeds whose ranking is final before any block is scanned
+    done = np.zeros(num_seeds, dtype=bool)
     scored = np.zeros(num_seeds, dtype=np.int64)
     scanned = np.zeros(num_seeds, dtype=np.int64)
     skipped = np.zeros(num_seeds, dtype=np.int64)
@@ -362,6 +373,25 @@ def top_k_blockwise(
             floors[i] = float(best_scores[i][-1])
             filled[i] = True
 
+    def rescore(z_rows: np.ndarray, i: int) -> np.ndarray:
+        # the partition-stable kernel gives each row its full-column bytes
+        out = np.empty((z_rows.shape[0], 1), dtype=dtype, order="F")
+        return exact_columns(z_rows, u_rows[i : i + 1, :], damping, out)[:, 0]
+
+    zero_u = ~u_rows.any(axis=1)
+    if exact and k_eff > 0 and zero_u.any():
+        # An all-zero U row makes every off-diagonal score +-0, so those
+        # all tie and the ranking is the smallest ids besides the seed
+        # (after the seed itself when it is kept).  No block can change
+        # that, so such seeds skip every block.
+        head_ids = np.arange(min(n, k_eff + 1), dtype=np.int64)
+        z_head = source.z_rows(head_ids)
+        for i in np.flatnonzero(zero_u):
+            need = k_eff - best_nodes[i].size
+            picks = np.flatnonzero(head_ids != seed_ids[i])[:need]
+            merge(i, head_ids[picks], rescore(z_head[picks], i))
+            done[i] = True
+
     # descending bound order; unknown bounds (None) sort first and are
     # always scanned, so a legacy manifest degrades to a full scan,
     # never to a wrong skip
@@ -373,14 +403,14 @@ def top_k_blockwise(
     if k_eff > 0:
         for block_id, start, stop, bound in block_order:
             if bound is None:
-                active = np.arange(num_seeds)
+                active = np.flatnonzero(~done)
             else:
                 # seed i is done with this (and every later) block when
                 # the inflated bound sits strictly below its floor —
                 # candidates tied with the floor must still be scanned,
                 # since a smaller id wins the tie
                 limits = damping * bound * u_norms * (1.0 + safety) + safety
-                active = np.flatnonzero(~filled | (limits >= floors))
+                active = np.flatnonzero(~done & (~filled | (limits >= floors)))
             rows = stop - start
             if active.size == 0:
                 skipped += 1
@@ -402,15 +432,15 @@ def top_k_blockwise(
                     else _null_context()
                 )
                 with ctx:
-                    if mode == "batched":
-                        block_scores = z_blk @ u_rows[active, :].T
-                        block_scores *= damping
-                    else:
-                        block_scores = exact_columns(
-                            z_blk,
-                            u_rows[active, :],
-                            damping,
-                            np.empty((rows, active.size), dtype=dtype, order="F"),
+                    block_scores = _block_product(
+                        z_blk, u_rows[active, :], damping
+                    )
+                    if exact:
+                        if bound is None:
+                            bound = _max_row_norm(z_blk)
+                        margins = (
+                            margin_scale * damping * bound * u_norms
+                            + margin_floor
                         )
                     for pos, i in enumerate(active):
                         col = block_scores[:, pos]
@@ -418,13 +448,25 @@ def top_k_blockwise(
                         # diagonal +1 breaks the bound ordering), so it
                         # is never a candidate here
                         keep = row_ids != int(seed_ids[i])
-                        if keep.all():
+                        num_cand = int(np.count_nonzero(keep))
+                        scored[i] += num_cand
+                        scanned[i] += 1
+                        if exact:
+                            picks = _filter_rows(
+                                col,
+                                keep,
+                                num_cand,
+                                k_eff,
+                                float(floors[i]) if filled[i] else None,
+                                float(margins[i]),
+                            )
+                            cand_nodes = row_ids[picks]
+                            col = rescore(z_blk[picks], i)
+                        elif num_cand == rows:
                             cand_nodes = row_ids
                         else:
                             cand_nodes = row_ids[keep]
                             col = col[keep]
-                        scored[i] += cand_nodes.size
-                        scanned[i] += 1
                         if filled[i]:
                             passing = col >= best_scores[i][-1]
                             cand_nodes = cand_nodes[passing]
@@ -441,6 +483,75 @@ def top_k_blockwise(
         )
         for i in range(num_seeds)
     ]
+
+
+def _block_product(
+    z_rows: np.ndarray, u_rows: np.ndarray, damping: float
+) -> np.ndarray:
+    """``damping * z_rows @ u_rows.T`` as one GEMM: the scores in
+    batched mode, the filter in exact mode."""
+    scores = z_rows @ u_rows.T
+    scores *= damping
+    return scores
+
+
+def filter_margin(rank: int, dtype) -> Tuple[float, float]:
+    """``(scale, floor)`` of the exact-mode filter margin (docs/topk.md).
+
+    For a block whose rows have ``||Z_x|| <= b`` and a seed ``q``, the
+    block GEMM's score and the exact kernel's score of any row differ
+    by at most ``scale * c * b * ||U_q|| + floor``, where
+    ``scale = 2 * gamma_{r+3}`` with ``gamma_j = j*u / (1 - j*u)`` and
+    ``u`` the dtype's unit roundoff, and ``floor = 2 * (r + 1)`` times
+    the dtype's smallest subnormal (underflow in the products).  The
+    extra steps of ``gamma`` cover the scaling by ``c`` and the float64
+    arithmetic that forms the margin itself.  (The bound needs
+    ``(r + 3) * u < 1``, true of any rank a dense ``Z`` can hold.)
+    """
+    info = np.finfo(np.dtype(dtype))
+    steps = (max(1, int(rank)) + 3) * float(info.eps) / 2.0
+    scale = 2.0 * steps / (1.0 - steps)
+    return scale, 2.0 * (int(rank) + 1) * float(info.smallest_subnormal)
+
+
+def _max_row_norm(z_rows: np.ndarray) -> float:
+    if z_rows.shape[0] == 0:
+        return 0.0
+    norms = np.linalg.norm(z_rows.astype(np.float64, copy=False), axis=1)
+    return float(norms.max())
+
+
+def _filter_rows(
+    gemm: np.ndarray,
+    keep: np.ndarray,
+    num_cand: int,
+    k_eff: int,
+    floor: Optional[float],
+    margin: float,
+) -> np.ndarray:
+    """Positions of the block rows the exact kernel must rescore.
+
+    ``gemm`` holds the block's GEMM scores for one seed, each within
+    ``margin`` of the exact score; ``keep`` masks out the seed's own
+    row.  A filled seed (``floor`` set) needs every row whose exact
+    score can reach the floor: GEMM score ``>= floor - margin``.  An
+    unfilled seed needs the block's own exact top ``k_eff``: each of
+    the ``k_eff`` best GEMM rows has an exact score ``>= t - margin``
+    (``t`` the ``k_eff``-th best GEMM score), so every member of the
+    exact top ``k_eff`` has GEMM score ``>= t - 2 * margin``.  Rounding
+    the cut (to float64, then to the scores' dtype) is monotone, and
+    the scores are representable, so a cut at or below a score stays
+    at or below it: no row that can place is dropped.
+    """
+    if floor is not None:
+        cut = floor - margin
+    elif num_cand > k_eff:
+        candidates = gemm[keep] if num_cand < keep.size else gemm
+        place = num_cand - k_eff
+        cut = float(np.partition(candidates, place)[place]) - 2.0 * margin
+    else:
+        return np.flatnonzero(keep)
+    return np.flatnonzero((gemm >= cut) & keep)
 
 
 class _null_context:

@@ -21,6 +21,38 @@ from repro.errors import GraphConstructionError, InvalidParameterError
 
 __all__ = ["DiGraph"]
 
+#: Edge keys ``src * n + dst`` stay below this while ``n * n`` does.
+_KEY_LIMIT = 1 << 63
+
+
+def _check_endpoints(n: int, src: np.ndarray, dst: np.ndarray) -> None:
+    if src.size == 0:
+        return
+    if src.min() < 0 or dst.min() < 0:
+        raise GraphConstructionError("edge endpoints must be non-negative")
+    if src.max() >= n or dst.max() >= n:
+        bad = max(src.max(), dst.max())
+        raise GraphConstructionError(
+            f"edge endpoint {bad} out of range for graph with {n} nodes"
+        )
+
+
+def _edge_pairs(edges) -> np.ndarray:
+    pairs = np.asarray(list(edges), dtype=np.int64)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise GraphConstructionError("edges must be (source, target) pairs")
+    return pairs
+
+
+def _locate(sorted_keys: np.ndarray, keys: np.ndarray):
+    """Insertion points of ``keys`` in ``sorted_keys``, and which of
+    ``keys`` are already there."""
+    at = np.searchsorted(sorted_keys, keys)
+    present = np.zeros(keys.size, dtype=bool)
+    if sorted_keys.size:
+        present = sorted_keys[np.minimum(at, sorted_keys.size - 1)] == keys
+    return at, present
+
 
 class DiGraph:
     """An immutable directed graph over dense integer node ids.
@@ -68,15 +100,8 @@ class DiGraph:
     # construction helpers
     # ------------------------------------------------------------------
     def _init_from_arrays(self, src: np.ndarray, dst: np.ndarray) -> None:
-        n = self._n
         if src.size:
-            if src.min(initial=0) < 0 or dst.min(initial=0) < 0:
-                raise GraphConstructionError("edge endpoints must be non-negative")
-            if src.max(initial=-1) >= n or dst.max(initial=-1) >= n:
-                bad = max(src.max(initial=-1), dst.max(initial=-1))
-                raise GraphConstructionError(
-                    f"edge endpoint {bad} out of range for graph with {n} nodes"
-                )
+            _check_endpoints(self._n, src, dst)
             # Coalesce duplicates while keeping a deterministic order.
             order = np.lexsort((dst, src))
             src, dst = src[order], dst[order]
@@ -87,10 +112,31 @@ class DiGraph:
                     src[1:] != src[:-1], dst[1:] != dst[:-1], out=keep[1:]
                 )
                 src, dst = src[keep], dst[keep]
+        self._set_edges(src, dst)
+
+    def _set_edges(self, src: np.ndarray, dst: np.ndarray) -> None:
         self._src = src
         self._dst = dst
         self._csr: Optional[sparse.csr_matrix] = None
         self._csc: Optional[sparse.csc_matrix] = None
+
+    @classmethod
+    def _from_sorted(
+        cls, n: int, src: np.ndarray, dst: np.ndarray
+    ) -> "DiGraph":
+        """A graph over edges already in canonical order: in range,
+        unique, and sorted by ``(source, target)``."""
+        graph = cls.__new__(cls)
+        graph._n = n
+        graph._set_edges(src, dst)
+        return graph
+
+    def _edge_keys(self) -> Optional[np.ndarray]:
+        """``src * n + dst`` per edge, ascending like the edges, or
+        ``None`` when ``n * n`` overflows int64."""
+        if self._n * self._n >= _KEY_LIMIT:
+            return None
+        return self._src * self._n + self._dst
 
     @classmethod
     def from_arrays(
@@ -248,27 +294,52 @@ class DiGraph:
         return DiGraph.from_arrays(self._n, self._dst, self._src)
 
     def with_edges_added(self, edges: Sequence[Tuple[int, int]]) -> "DiGraph":
-        """A new graph with ``edges`` added (duplicates coalesced)."""
+        """A new graph with ``edges`` added (duplicates coalesced).
+
+        The current edges are sorted and unique, so the batch is merged
+        in by ``src * n + dst`` key instead of re-sorting all ``m``.
+        """
         if not edges:
             return self
-        extra = np.asarray(list(edges), dtype=np.int64)
-        if extra.ndim != 2 or extra.shape[1] != 2:
-            raise GraphConstructionError("edges must be (source, target) pairs")
-        src = np.concatenate([self._src, extra[:, 0]])
-        dst = np.concatenate([self._dst, extra[:, 1]])
-        return DiGraph.from_arrays(self._n, src, dst)
+        extra = _edge_pairs(edges)
+        n = self._n
+        old_keys = self._edge_keys()
+        if old_keys is None:
+            return DiGraph.from_arrays(
+                n,
+                np.concatenate([self._src, extra[:, 0]]),
+                np.concatenate([self._dst, extra[:, 1]]),
+            )
+        _check_endpoints(n, extra[:, 0], extra[:, 1])
+        new_keys = np.unique(extra[:, 0] * n + extra[:, 1])
+        at, present = _locate(old_keys, new_keys)
+        new_keys, at = new_keys[~present], at[~present]
+        return DiGraph._from_sorted(
+            n,
+            np.insert(self._src, at, new_keys // n),
+            np.insert(self._dst, at, new_keys % n),
+        )
 
     def with_edges_removed(self, edges: Sequence[Tuple[int, int]]) -> "DiGraph":
         """A new graph with ``edges`` removed (missing edges are ignored)."""
         if not edges:
             return self
-        drop = {(int(s), int(t)) for s, t in edges}
-        keep = np.fromiter(
-            ((s, t) not in drop for s, t in zip(self._src, self._dst)),
-            dtype=bool,
-            count=self.num_edges,
-        )
-        return DiGraph.from_arrays(self._n, self._src[keep], self._dst[keep])
+        drop = _edge_pairs(edges)
+        n = self._n
+        old_keys = self._edge_keys()
+        if old_keys is None:
+            dropped = {(int(s), int(t)) for s, t in drop}
+            keep = np.fromiter(
+                ((s, t) not in dropped for s, t in zip(self._src, self._dst)),
+                dtype=bool,
+                count=self.num_edges,
+            )
+        else:
+            drop = drop[((drop >= 0) & (drop < n)).all(axis=1)]
+            at, present = _locate(old_keys, drop[:, 0] * n + drop[:, 1])
+            keep = np.ones(old_keys.size, dtype=bool)
+            keep[at[present]] = False
+        return DiGraph._from_sorted(n, self._src[keep], self._dst[keep])
 
     def subgraph(self, nodes: Sequence[int]) -> "DiGraph":
         """Induced subgraph on ``nodes``, relabelled to ``0..len(nodes)-1``.

@@ -12,18 +12,26 @@ are pinned.
 to one thread for the duration of a ``with`` block and restores the
 previous counts when the last concurrent block exits.  The setting is
 process-wide, so BLAS calls that other threads make meanwhile also run
-on one thread.  Other BLAS vendors (MKL, BLIS), and platforms without
-``/proc/self/maps``, are left alone: the block is then a no-op.
+on one thread.  :func:`set_blas_threads` sets a count for the rest of
+the process's life; a frontend worker process uses it at start so that
+processes x BLAS threads stays within the cores (docs/frontend.md).
+Other BLAS vendors (MKL, BLIS), and platforms without
+``/proc/self/maps``, are left alone: both are then no-ops.
+
+The module state is fork-safe: a child forked while another thread
+held the lock, or sat inside :func:`single_threaded_blas`, starts with
+a free lock, no open block and the thread counts from outside it.
 """
 
 from __future__ import annotations
 
 import ctypes
+import os
 import threading
 from contextlib import contextmanager
 from typing import Callable, Iterator, List, Optional, Tuple
 
-__all__ = ["blas_threads", "single_threaded_blas"]
+__all__ = ["blas_threads", "set_blas_threads", "single_threaded_blas"]
 
 #: ``(getter, setter)`` symbol pairs, in the order they are tried on
 #: each loaded library: numpy's and scipy's wheels prefix theirs.
@@ -88,6 +96,21 @@ def blas_threads() -> Optional[int]:
         return max((getter() for getter, _ in controls), default=None)
 
 
+def set_blas_threads(count: int) -> None:
+    """Set every loaded OpenBLAS to ``count`` threads until changed.
+
+    Looks for loaded libraries afresh, so one loaded since the last
+    lookup is set too.  A :func:`single_threaded_blas` block open at
+    the time restores the counts it saved when it exits.
+    """
+    global _controls
+    count = max(1, int(count))
+    with _lock:
+        _controls = _find_controls()
+        for _, setter in _controls:
+            setter(count)
+
+
 @contextmanager
 def single_threaded_blas() -> Iterator[None]:
     """Run the block with every loaded OpenBLAS at one thread.
@@ -113,3 +136,19 @@ def single_threaded_blas() -> Iterator[None]:
                 for setter, count in _saved:
                     setter(count)
                 _saved.clear()
+
+
+def _reset_after_fork() -> None:
+    # The child has one thread, the one that forked: no thread of the
+    # child holds the lock or sits inside a block, whatever the parent's
+    # other threads were doing.  Counts a block had lowered go back.
+    global _lock, _depth
+    _lock = threading.Lock()
+    for setter, count in _saved:
+        setter(count)
+    _saved.clear()
+    _depth = 0
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reset_after_fork)

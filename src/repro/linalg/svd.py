@@ -2,8 +2,8 @@
 
 CSR+ (Algorithm 1, line 2) decomposes the sparse transition matrix as
 ``Q ~= U diag(sigma) V^T`` with a low target rank ``r``.  The paper uses
-MATLAB's sparse SVD; here :func:`truncated_svd` wraps ARPACK
-(``scipy.sparse.linalg.svds``) with
+MATLAB's sparse SVD; here :func:`truncated_svd` runs ARPACK the way
+``scipy.sparse.linalg.svds`` does, with
 
 * a deterministic start vector, so repeated runs agree bit-for-bit;
 * a dense-LAPACK fallback for the small matrices where ARPACK cannot be
@@ -13,19 +13,22 @@ MATLAB's sparse SVD; here :func:`truncated_svd` wraps ARPACK
   CSR+ and the CSR-NI baseline see identical factors;
 * one BLAS thread for small solves (:func:`arpack_svds`), where
   handing ARPACK's many small BLAS calls to worker threads costs more
-  than it saves.
+  than it saves;
+* a seeded generator for ARPACK's restart vectors (:func:`arpack_svds`).
 
 Singular values are returned in non-increasing order.
 """
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from typing import Tuple, Union
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import svds
+from scipy.linalg import svd as lapack_svd
+from scipy.sparse.linalg import LinearOperator, aslinearoperator, eigsh
 
 from repro.errors import DecompositionError, InvalidParameterError
 from repro.linalg.blas import single_threaded_blas
@@ -46,6 +49,10 @@ __all__ = [
 ARPACK_THREADED_MIN_ENTRIES = 1 << 20
 
 Matrix = Union[np.ndarray, sparse.spmatrix]
+
+#: scipy >= 1.15 draws ARPACK's restart vectors from ``eigsh``'s
+#: ``rng``; earlier releases draw them inside ARPACK.
+_EIGSH_TAKES_RNG = "rng" in inspect.signature(eigsh).parameters
 
 
 @dataclass(frozen=True)
@@ -91,8 +98,11 @@ def uses_dense_fallback(shape: Tuple[int, int], rank: int) -> bool:
     return (rank >= min_dim - 1) or (min_dim <= 64)
 
 
-def arpack_svds(matrix: Matrix, rank: int, v0: np.ndarray, **kwargs):
-    """``svds(matrix, k=rank, v0=v0, **kwargs)`` under the thread rule.
+def arpack_svds(
+    matrix: Matrix, rank: int, v0: np.ndarray, return_singular_vectors=True
+):
+    """``svds(matrix, k=rank, v0=v0)`` with seeded restarts, under the
+    thread rule.
 
     Solves below :data:`ARPACK_THREADED_MIN_ENTRIES` run with every
     loaded OpenBLAS at one thread (:func:`~repro.linalg.blas.
@@ -102,9 +112,48 @@ def arpack_svds(matrix: Matrix, rank: int, v0: np.ndarray, **kwargs):
     """
     n = min(matrix.shape)
     if n * max(2 * rank + 1, 20) >= ARPACK_THREADED_MIN_ENTRIES:
-        return svds(matrix, k=rank, v0=v0, **kwargs)
+        return _svds(matrix, rank, v0, return_singular_vectors)
     with single_threaded_blas():
-        return svds(matrix, k=rank, v0=v0, **kwargs)
+        return _svds(matrix, rank, v0, return_singular_vectors)
+
+
+def _svds(
+    matrix: Matrix, rank: int, v0: np.ndarray, return_singular_vectors
+):
+    """The steps of ``scipy.sparse.linalg.svds(solver="arpack")`` for a
+    matrix with at least as many rows as columns, except that ``eigsh``
+    gets a seeded generator; without a restart the bytes are ``svds``'s.
+
+    When the Lanczos basis meets an invariant subspace (a singular value
+    repeated across the rank cut, as on ``ring(70)`` at rank 16), ARPACK
+    asks for a random restart vector.  ``svds`` does not pass its
+    generator on, so ``eigsh`` drew that vector from fresh OS entropy
+    and the factors, even the singular values, changed from call to
+    call.
+    """
+    op = aslinearoperator(matrix)
+    n = op.shape[1]
+    gram = LinearOperator(
+        matvec=lambda x: op.rmatvec(op.matvec(x)),
+        matmat=lambda x: op.rmatmat(op.matmat(x)),
+        dtype=op.dtype,
+        shape=(n, n),
+    )
+    seeded = {"rng": np.random.default_rng(0)} if _EIGSH_TAKES_RNG else {}
+    _, eigvec = eigsh(gram, k=rank, tol=0, v0=v0, **seeded)
+    # ARPACK does not guarantee exactly orthonormal eigenvectors
+    eigvec, _ = np.linalg.qr(eigvec)
+    u, s, vh = lapack_svd(
+        op.matmat(eigvec), full_matrices=False, overwrite_a=True
+    )
+    u, s, vh = u[:, ::-1], s[::-1], vh[::-1]
+    keep_u = return_singular_vectors in (True, "u")
+    keep_vh = return_singular_vectors in (True, "vh")
+    return (
+        u if keep_u else None,
+        s,
+        vh @ eigvec.conj().T if keep_vh else None,
+    )
 
 
 def truncated_svd(matrix: Matrix, rank: int, seed: int = 0) -> TruncatedSVD:

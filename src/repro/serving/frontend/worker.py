@@ -138,6 +138,8 @@ class _WorkerState:
         return index
 
     def describe(self, tier: str) -> Dict[str, Any]:
+        from repro.linalg.blas import blas_threads
+
         version = max(self.versions)
         index = self.index_for(version, tier)
         return {
@@ -154,6 +156,7 @@ class _WorkerState:
             "pid": os.getpid(),
             "has_approx": "approx" in self.versions[version],
             "approx_atol": index.approx_atol,
+            "blas_threads": blas_threads(),
         }
 
     def publish(
@@ -215,6 +218,7 @@ def worker_main(
     query_mode: Optional[str] = None,
     validate_reads: bool = False,
     replica_path: Optional[str] = None,
+    num_workers: int = 1,
 ) -> None:
     """Entry point of one worker process: serve tasks until shutdown.
 
@@ -222,9 +226,19 @@ def worker_main(
     before sending ``shutdown``, so the worker ignores SIGTERM/SIGINT
     itself — a signal delivered to the whole process group must not
     kill a worker mid-column while the parent is still draining.
+
+    The worker runs every loaded OpenBLAS at ``available_cpus() //
+    num_workers`` threads (at least one) for its lifetime, so the
+    pool's processes x BLAS threads never exceed the cores: an
+    OpenBLAS thread spins on its core for ~0.1 s after each call, and
+    one spinning in every worker would starve its siblings.
     """
     signal.signal(signal.SIGTERM, signal.SIG_IGN)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    from repro.core.index import available_cpus
+    from repro.linalg.blas import set_blas_threads
+
+    set_blas_threads(max(1, available_cpus() // num_workers))
     state = _WorkerState(
         worker_id,
         store_path,
@@ -385,6 +399,7 @@ class WorkerPool:
                 self.query_mode,
                 self.validate_reads,
                 self._base_replica_path,
+                self.num_workers,
             ),
             daemon=True,
             name=f"csrplus-worker-{worker_id}",
@@ -533,7 +548,8 @@ class WorkerPool:
 
     def describe(self, tier: str = "exact") -> Dict[str, Any]:
         """Shape, config and ``approx_atol`` of the newest version's
-        ``tier`` store, plus ``has_approx`` (the version has a replica)."""
+        ``tier`` store, plus ``has_approx`` (the version has a replica)
+        and the answering worker's ``blas_threads``."""
         return self.submit("describe", tier)
 
     # -- broadcast control ---------------------------------------------

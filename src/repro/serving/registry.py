@@ -82,6 +82,28 @@ logger = logging.getLogger("repro.serving")
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
 
+#: Config fields a saved index records and a disk hit must match.
+_SAVED_CONFIG_FIELDS = (
+    "damping", "rank", "epsilon", "dtype", "solver", "dangling", "svd_seed",
+)
+
+
+def _config_mismatch(
+    saved: CSRPlusConfig, config: Optional[CSRPlusConfig], overrides: dict
+) -> str:
+    """``field=saved (requested ...)`` for each requested field the
+    saved config differs in, or ``""``.  A call without ``config``
+    requests only its overrides."""
+    requested = (config or CSRPlusConfig()).with_overrides(**overrides)
+    fields = _SAVED_CONFIG_FIELDS if config is not None else overrides
+    return ", ".join(
+        f"{field}={getattr(saved, field)!r} (requested "
+        f"{getattr(requested, field)!r})"
+        for field in _SAVED_CONFIG_FIELDS
+        if field in fields
+        and getattr(saved, field) != getattr(requested, field)
+    )
+
 
 def _sha256_file(path: str) -> str:
     digest = hashlib.sha256()
@@ -226,10 +248,14 @@ class IndexRegistry:
 
         On a disk hit the saved factors are checksum-verified and loaded
         against ``graph`` (node-count mismatches raise
-        :class:`~repro.errors.InvalidParameterError`).  Transient read
-        failures are retried with backoff; a file that is corrupt — or
-        still unreadable after the retry budget — is quarantined and the
-        index is rebuilt from ``graph`` as if it had never been saved.
+        :class:`~repro.errors.InvalidParameterError`); a file saved with
+        another damping, rank, epsilon, dtype, solver, dangling policy
+        or SVD seed than requested is rebuilt and re-saved (with no
+        ``config``, only the fields named in ``overrides`` are
+        requested).  Transient read failures are retried with backoff;
+        a file that is corrupt — or still unreadable after the retry
+        budget — is quarantined and the index is rebuilt from ``graph``
+        as if it had never been saved.
         On a full miss the index is built with ``config``/``overrides``
         and saved for future processes (a failed save is logged, not
         raised: the in-memory index still serves).  Thread-safe;
@@ -249,6 +275,16 @@ class IndexRegistry:
                         index = self.retrier.call(
                             self._load_checked, path, graph
                         )
+                        stale = _config_mismatch(
+                            index.config, config, overrides
+                        )
+                        if stale:
+                            self._m_rebuilds.inc()
+                            logger.warning(
+                                "index %r was saved with %s; rebuilding "
+                                "for the requested config", path, stale,
+                            )
+                            index = None
                     except IndexCorrupted as exc:
                         self._m_corrupt.inc()
                         self._m_rebuilds.inc()

@@ -13,6 +13,7 @@ candidate for candidate.
 import numpy as np
 import pytest
 
+import repro.core.topk as topk
 from repro.core.index import CSRPlusIndex
 from repro.core.topk import top_k_blockwise, top_k_pruned
 from repro.errors import InvalidParameterError
@@ -112,19 +113,71 @@ class TestBlockwisePruning:
                 == -(-n // 128)  # ceil: every block is either scanned or skipped
             )
 
+    def test_exact_mode_rescores_only_filter_survivors(
+        self, skewed_index, monkeypatch
+    ):
+        """Exact mode filters each block with one GEMM: the exact
+        kernel sees a small fraction of the rows the GEMM scored."""
+        rescored = []
+        kernel = topk.exact_columns
+
+        def counting(z_rows, *args):
+            rescored.append(z_rows.shape[0])
+            return kernel(z_rows, *args)
+
+        monkeypatch.setattr(topk, "exact_columns", counting)
+        results = top_k_blockwise(
+            skewed_index, SEEDS, 10, block_rows=128, mode="exact"
+        )
+        scored = sum(result.candidates_scored for result in results)
+        assert 0 < sum(rescored) < 0.1 * scored
+
     def test_flat_norm_graph_degrades_to_full_scan(self):
         """On a ring every ||Z[x]|| is equal: no block's bound can drop
         below the floor, so the kernel scans everything — gracefully,
         once per block, not with pathological re-sorting."""
         index = CSRPlusIndex(ring(60), rank=10).prepare()
-        results = top_k_blockwise(index, [4, 30], 5, block_rows=16)
-        for seed, result in zip([4, 30], results):
+        # both seeds have a nonzero U row (rows 10.. of U are zero at
+        # rank 10; such seeds take the closed form tested below)
+        results = top_k_blockwise(index, [4, 7], 5, block_rows=16)
+        for seed, result in zip([4, 7], results):
             assert result.blocks_skipped == 0
             assert result.blocks_scanned == -(-60 // 16)
             assert result.candidates_scored == 59  # all but self
             np.testing.assert_array_equal(
                 result.nodes, index.top_k(seed, 5)
             )
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("exclude_self", [True, False])
+    def test_zero_u_seed_takes_closed_form(self, dtype, exclude_self):
+        """A seed whose U row is all zero scores +-0 against every other
+        node, so its ranking is the smallest other ids: the kernel
+        writes it down and scans no block."""
+        index = CSRPlusIndex(ring(60), rank=10, dtype=dtype).prepare()
+        u_matrix = index.factors[0]
+        seeds = [30, 2, 59]  # rows 30 and 59 of U are exactly zero
+        assert not u_matrix[30].any() and not u_matrix[59].any()
+        assert u_matrix[2].any()
+        plan_blocks = -(-60 // 16)
+        results = top_k_blockwise(
+            index, seeds, 5, exclude_self=exclude_self, block_rows=16,
+            mode="exact",
+        )
+        for seed, result in zip(seeds, results):
+            nodes = index.top_k(seed, 5, exclude_self=exclude_self)
+            np.testing.assert_array_equal(result.nodes, nodes)
+            assert result.scores.dtype == np.dtype(dtype)
+            assert (
+                result.scores.tobytes()
+                == index.single_source(seed)[nodes].tobytes()
+            )
+            if seed != 2:
+                assert result.blocks_skipped == plan_blocks
+                assert result.blocks_scanned == 0
+                assert result.candidates_scored == 0
+        expected = [0, 1, 2, 3] if exclude_self else [30, 0, 1, 2, 3]
+        np.testing.assert_array_equal(results[0].nodes[:4], expected[:4])
 
     def test_scalar_oracle_agrees_with_blockwise(self, skewed_index):
         """top_k_pruned stays the reference: same nodes, same scores

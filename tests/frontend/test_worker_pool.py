@@ -5,7 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.index import available_cpus
 from repro.errors import InvalidParameterError, WorkerCrashed
+from repro.linalg.blas import blas_threads
 from repro.serving.frontend import WorkerPool
 from repro.serving.frontend.metrics import merge_metric_dicts
 from repro.sharding import ShardedIndex
@@ -64,6 +66,23 @@ class TestDescribe:
         assert meta["config"]["rank"] == reference.config.rank
         assert meta["versions"] == [0]
         assert meta["has_approx"] is False
+
+    @pytest.mark.parametrize("num_workers", [1, 2])
+    def test_workers_split_blas_threads_over_cores(
+        self, store_path, num_workers
+    ):
+        """Each worker runs OpenBLAS at cpus // workers threads (at
+        least one); the dispatcher process keeps its own count."""
+        if blas_threads() is None:
+            pytest.skip("no OpenBLAS thread control in this process")
+        before = blas_threads()
+        with WorkerPool(store_path, num_workers) as workers:
+            reported = {
+                workers.describe()["blas_threads"]
+                for _ in range(2 * num_workers)
+            }
+        assert reported == {max(1, available_cpus() // num_workers)}
+        assert blas_threads() == before
 
 
 class TestErrors:

@@ -1,5 +1,6 @@
 """Tests for the process-wide BLAS thread control around small solves."""
 
+import os
 import threading
 
 import numpy as np
@@ -66,6 +67,96 @@ class TestSingleThreadedBlas:
         second_done.set()
         worker.join()
         assert all(count == 1 for count in inside_first[0])
+        assert _thread_counts() == before
+
+
+def _exit_code_in_child(check) -> int:
+    """Fork, run ``check()`` in the child and return its exit code
+    (0 when ``check`` returns true)."""
+    pid = os.fork()
+    if pid == 0:  # pragma: no cover - runs in the child
+        code = 1
+        try:
+            code = 0 if check() else 3
+        finally:
+            os._exit(code)
+    _, status = os.waitpid(pid, 0)
+    return os.WEXITSTATUS(status) if os.WIFEXITED(status) else -1
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "register_at_fork"), reason="needs os.fork"
+)
+@pytest.mark.filterwarnings("ignore::DeprecationWarning")
+class TestForkSafety:
+    @pytest.mark.timeout(30)
+    def test_child_of_a_lock_holder_gets_a_free_lock(self):
+        holding = threading.Event()
+        release = threading.Event()
+
+        def hold():
+            with blas._lock:
+                holding.set()
+                release.wait()
+
+        holder = threading.Thread(target=hold)
+        holder.start()
+        holding.wait()
+        try:
+            code = _exit_code_in_child(
+                lambda: blas._lock.acquire(blocking=False)
+            )
+        finally:
+            release.set()
+            holder.join()
+        assert code == 0
+
+    @pytest.mark.timeout(30)
+    def test_child_forked_inside_a_block_starts_outside_it(self):
+        before = _thread_counts()
+        inside = threading.Event()
+        leave = threading.Event()
+
+        def sit_in_block():
+            with single_threaded_blas():
+                inside.set()
+                leave.wait()
+
+        def child_state_is_clean():
+            if not blas._lock.acquire(blocking=False):
+                return False
+            blas._lock.release()
+            return (
+                blas._depth == 0
+                and blas._saved == []
+                and _thread_counts() == before
+            )
+
+        sitter = threading.Thread(target=sit_in_block)
+        sitter.start()
+        inside.wait()
+        try:
+            code = _exit_code_in_child(child_state_is_clean)
+            assert all(count == 1 for count in _thread_counts())
+        finally:
+            leave.set()
+            sitter.join()
+        assert code == 0
+        assert _thread_counts() == before
+
+
+class TestSetBlasThreads:
+    def test_sets_every_library_and_can_be_undone(self):
+        before = _thread_counts()
+        if not before:
+            pytest.skip("no OpenBLAS thread control in this process")
+        try:
+            blas.set_blas_threads(1)
+            assert all(count == 1 for count in _thread_counts())
+            assert blas.blas_threads() == 1
+        finally:
+            for (_, setter), count in zip(blas._find_controls(), before):
+                setter(count)
         assert _thread_counts() == before
 
 

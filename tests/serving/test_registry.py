@@ -9,6 +9,7 @@ from repro.core.config import CSRPlusConfig
 from repro.core.index import CSRPlusIndex
 from repro.errors import InvalidParameterError
 from repro.graphs.generators import erdos_renyi
+from repro.obs.metrics import MetricsRegistry
 from repro.serving import IndexRegistry
 
 
@@ -58,6 +59,63 @@ class TestResolution:
         registry.evict("er40", delete_file=True)
         assert "er40" not in registry
         assert registry.names() == []
+
+
+def _rebuilds(metrics: MetricsRegistry) -> str:
+    return next(
+        line
+        for line in metrics.render_prometheus().splitlines()
+        if line.startswith("csrplus_registry_rebuilds_total ")
+    )
+
+
+class TestSavedConfig:
+    def test_disk_hit_with_another_config_rebuilds(self, tmp_path, graph):
+        IndexRegistry(tmp_path, metrics=MetricsRegistry()).get(
+            "x", graph, rank=6
+        )
+        metrics = MetricsRegistry()
+        index = IndexRegistry(tmp_path, metrics=metrics).get(
+            "x", graph, rank=8, damping=0.8
+        )
+        assert (index.config.rank, index.config.damping) == (8, 0.8)
+        fresh = CSRPlusIndex(graph, rank=8, damping=0.8).prepare()
+        assert np.array_equal(index.query([0, 5]), fresh.query([0, 5]))
+        assert _rebuilds(metrics) == "csrplus_registry_rebuilds_total 1"
+        # the rebuilt index was re-saved: the next process loads it as is
+        metrics = MetricsRegistry()
+        reloaded = IndexRegistry(tmp_path, metrics=metrics).get(
+            "x", graph, CSRPlusConfig(rank=8, damping=0.8)
+        )
+        assert np.array_equal(reloaded.query([0, 5]), fresh.query([0, 5]))
+        assert _rebuilds(metrics) == "csrplus_registry_rebuilds_total 0"
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("epsilon", 1e-3), ("dtype", "float32"), ("solver", "direct"),
+         ("svd_seed", 7)],
+    )
+    def test_every_saved_field_is_compared(
+        self, tmp_path, graph, field, value
+    ):
+        IndexRegistry(tmp_path).get("x", graph, rank=4)
+        index = IndexRegistry(tmp_path).get(
+            "x", graph, rank=4, **{field: value}
+        )
+        assert getattr(index.config, field) == value
+
+    def test_request_without_config_accepts_the_saved_one(
+        self, tmp_path, graph
+    ):
+        IndexRegistry(tmp_path, metrics=MetricsRegistry()).get(
+            "x", graph, rank=6, damping=0.7
+        )
+        metrics = MetricsRegistry()
+        index = IndexRegistry(tmp_path, metrics=metrics).get(
+            "x", graph, rank=6
+        )
+        assert (index.config.rank, index.config.damping) == (6, 0.7)
+        assert _rebuilds(metrics) == "csrplus_registry_rebuilds_total 0"
 
 
 class TestValidation:
