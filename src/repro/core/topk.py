@@ -17,13 +17,14 @@ Two kernels implement this idea (docs/topk.md):
   against.
 * :func:`top_k_blockwise` — the production kernel: many seeds at once,
   evaluated one *row-block* at a time (a vectorised product per block,
-  never a per-candidate GEMV), with blocks visited in decreasing
-  max-norm order and skipped outright once their bound falls below
-  every live seed's k-th floor.  Peak extra memory is
-  ``O(block_rows * |Q|)`` — a dense ``n x |Q|`` score matrix is never
-  materialised.  Over a :class:`~repro.sharding.ShardedIndex` a shard
-  is the natural block and the manifest's precomputed per-shard bound
-  lets cold shards be skipped without a disk read.
+  never a per-candidate GEMV).  A block is ``block_rows`` consecutive
+  rows of the oracle's visit order, which is built once per index
+  object (an in-memory index and a
+  :class:`~repro.sharding.ShardedIndex` alike), so block bounds fall
+  along the scan: a block is skipped once its bound falls below every
+  live seed's k-th floor, and the scan stops there.  Peak extra memory
+  is ``O(block_rows * |Q|)`` — a dense ``n x |Q|`` score matrix is
+  never materialised.
 
 Both kernels reproduce ``SimilarityEngine.top_k``'s exact ordering —
 descending score, ties broken by ascending node id — so their results
@@ -42,6 +43,8 @@ without scanning a block.
 
 from __future__ import annotations
 
+import threading
+import weakref
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -147,83 +150,51 @@ def top_k_pruned(
     )
 
 
-#: Default row-block height for monolithic indexes.  Small enough that
-#: the per-block score buffer (``block_rows * |Q|`` entries) is a few
-#: MB for realistic batches, large enough that block products hit BLAS.
+#: Default row-block height.  Small enough that the per-block score
+#: buffer (``block_rows * |Q|`` entries) is a few MB for realistic
+#: batches, large enough that block products hit BLAS.
 DEFAULT_BLOCK_ROWS = 4096
 
 
-class _MonolithicBlocks:
-    """Norm-ordered row blocks over an in-memory :class:`CSRPlusIndex`.
+class _VisitOrder:
+    """One index's rows in decreasing ``||Z[x]||`` order, ties by
+    ascending id (the scalar oracle's order), with the norms in that
+    order: the first norm of each ``block_rows`` slice is its block's
+    bound, so any block height is served from the same O(n) state."""
 
-    Contiguous node-id ranges make poor pruning blocks: on real graphs
-    high-norm rows land in every range, so each block's max-norm bound
-    stays high and nothing is ever skipped.  With the whole ``Z`` in
-    RAM we can do what the scalar oracle does — visit rows in
-    decreasing ``||Z[x]||`` order — blockwise: the plan chunks the
-    norm-sorted row permutation, so block bounds decay monotonically
-    and the scan stops after the same ~prefix the oracle scans, just
-    one vectorised product per block instead of one GEMV per row.
-    """
+    __slots__ = ("rows", "norms")
 
-    def __init__(self, index: CSRPlusIndex, block_rows: Optional[int]):
-        index.prepare()
-        u_matrix, _, _, z_matrix = index.factors
-        self._u = u_matrix
-        self._z = z_matrix
-        if block_rows is None:
-            block_rows = DEFAULT_BLOCK_ROWS
-        if block_rows < 1:
-            raise InvalidParameterError(
-                f"block_rows must be >= 1, got {block_rows}"
-            )
-        norms = index.z_row_norms()
-        n = index.num_nodes
-        # same visit order as top_k_pruned: desc norm, ties by asc id
-        self._order = np.lexsort((np.arange(n), -norms))
-        self.plan = []
-        for block_id, start in enumerate(range(0, n, int(block_rows))):
-            stop = min(start + int(block_rows), n)
-            bound = float(norms[self._order[start]])
-            self.plan.append((block_id, start, stop, bound))
-
-    def load(self, block_id: int, start: int, stop: int):
-        row_ids = self._order[start:stop]
-        return row_ids, self._z[row_ids, :]
-
-    def u_rows(self, seed_ids: np.ndarray) -> np.ndarray:
-        return self._u[seed_ids, :]
-
-    def z_rows(self, seed_ids: np.ndarray) -> np.ndarray:
-        return self._z[seed_ids, :]
+    def __init__(self, norms: np.ndarray):
+        self.rows = np.lexsort((np.arange(norms.size), -norms))
+        self.norms = norms[self.rows]
 
 
-class _ShardBlocks:
-    """Shard-per-block adapter over a ``ShardedIndex`` (duck-typed, so
-    the core package never imports :mod:`repro.sharding`).
+#: Visit orders by index object.  Weak keys: an order never keeps its
+#: index (say, a retired store version in a frontend worker) alive.
+_VISIT_ORDERS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+_VISIT_ORDERS_LOCK = threading.Lock()
 
-    A shard is the natural block: its rows are already a contiguous
-    unit on disk, and the manifest's precomputed ``z_norm_max`` bounds
-    the whole unit, so a cold shard below every seed's floor is skipped
-    without a read.
-    """
 
-    def __init__(self, index, block_rows: Optional[int]):
-        # block_rows is ignored: the shard layout *is* the block layout.
-        self._index = index
-        self.plan = list(index.topk_block_plan())
+def _visit_order(index) -> _VisitOrder:
+    """``index``'s visit order, built on its first top-k call only."""
+    with _VISIT_ORDERS_LOCK:
+        order = _VISIT_ORDERS.get(index)
+    if order is None:
+        order = _VisitOrder(index.z_row_norms())
+        with _VISIT_ORDERS_LOCK:
+            order = _VISIT_ORDERS.setdefault(index, order)
+    return order
 
-    def load(self, block_id: int, start: int, stop: int):
-        return (
-            np.arange(start, stop, dtype=np.int64),
-            self._index.load_topk_block(block_id),
-        )
 
-    def u_rows(self, seed_ids: np.ndarray) -> np.ndarray:
-        return self._index.gather_u_rows(seed_ids)
+def _row_gatherers(index):
+    """``(z_rows, u_rows)``: each maps node ids to those factor rows.
 
-    def z_rows(self, seed_ids: np.ndarray) -> np.ndarray:
-        return self._index.gather_z_rows(seed_ids)
+    A sharded index reads them from the owner shards; an in-memory
+    index indexes its factors."""
+    if hasattr(index, "gather_z_rows"):
+        return index.gather_z_rows, index.gather_u_rows
+    u_matrix, _, _, z_matrix = index.factors
+    return (lambda ids: z_matrix[ids, :]), (lambda ids: u_matrix[ids, :])
 
 
 def top_k_blockwise(
@@ -242,24 +213,24 @@ def top_k_blockwise(
 
     Evaluates ``Z[blk] @ U[Q,:]^T`` one row-block at a time (one GEMM;
     in exact mode a filter whose survivors the exact kernel rescores,
-    docs/topk.md), keeps a per-seed running top-k, and visits blocks
-    in decreasing
-    ``max ||Z[x]||`` order so that a block whose Cauchy–Schwarz bound
+    docs/topk.md), and keeps a per-seed running top-k.  Blocks are
+    ``block_rows`` consecutive rows of one order — decreasing
+    ``||Z[x]||``, ties by ascending id — built once per index object,
+    so block bounds only fall: a block whose Cauchy–Schwarz bound
     ``c * max||Z[x]|| * ||U[q]||`` falls below a seed's current k-th
-    floor is skipped for that seed — and never loaded at all once every
-    seed can skip it.  Peak extra memory is ``O(block_rows * |Q|)``;
-    a dense ``n x |Q|`` intermediate is never formed.
+    floor is skipped for that seed, never gathered once every seed can
+    skip it, and the scan stops when no seed is left.  Peak extra
+    memory is ``O(block_rows * |Q|)``; a dense ``n x |Q|``
+    intermediate is never formed.
 
     Parameters
     ----------
     index:
-        A :class:`~repro.core.index.CSRPlusIndex` (norm-ordered row
-        blocks of the in-memory ``Z``) or any object exposing the blockwise
-        surface ``topk_block_plan`` / ``load_topk_block`` /
-        ``gather_u_rows`` / ``gather_z_rows`` — in particular a
-        :class:`~repro.sharding.ShardedIndex`, where a shard is a block
-        and the manifest's precomputed per-shard bound skips cold
-        shards without a disk read.
+        A :class:`~repro.core.index.CSRPlusIndex` or any object
+        exposing ``z_row_norms`` / ``gather_z_rows`` /
+        ``gather_u_rows`` — in particular a
+        :class:`~repro.sharding.ShardedIndex`, whose blocks gather
+        their rows from the owner shards.
     seeds:
         Seed node ids (an int or a sequence; duplicates allowed).  One
         :class:`TopKResult` is returned per entry, in order.
@@ -271,9 +242,7 @@ def top_k_blockwise(
         Drop each seed from its own ranking (default), mirroring
         ``SimilarityEngine.top_k``.
     block_rows:
-        Row-block height for monolithic indexes (default
-        ``DEFAULT_BLOCK_ROWS``); ignored for sharded backends, whose
-        shard layout is the block layout.
+        Row-block height (default ``DEFAULT_BLOCK_ROWS``).
     mode:
         ``"exact"`` (bit-identical to the full column; the default via
         the index config) or ``"batched"`` (one GEMM per block, within
@@ -302,10 +271,14 @@ def top_k_blockwise(
         raise InvalidParameterError(
             f"query mode must be one of {QUERY_MODES}, got {mode!r}"
         )
-    if hasattr(index, "topk_block_plan"):
-        source = _ShardBlocks(index, block_rows)
-    else:
-        source = _MonolithicBlocks(index, block_rows)
+    if block_rows is None:
+        block_rows = DEFAULT_BLOCK_ROWS
+    if block_rows < 1:
+        raise InvalidParameterError(
+            f"block_rows must be >= 1, got {block_rows}"
+        )
+    block_rows = int(block_rows)
+    index.prepare()
     n = index.num_nodes
     seed_ids = np.atleast_1d(np.asarray(seeds, dtype=np.int64)).ravel()
     if seed_ids.size and (seed_ids.min() < 0 or seed_ids.max() >= n):
@@ -325,7 +298,8 @@ def top_k_blockwise(
     k_eff = min(int(k), n - 1 if exclude_self else n)
     exact = mode == "exact"
 
-    u_rows = source.u_rows(seed_ids)
+    gather_z, gather_u = _row_gatherers(index)
+    u_rows = gather_u(seed_ids)
     u_norms = np.linalg.norm(u_rows.astype(np.float64, copy=False), axis=1)
     # Rounding can push a computed score a hair past its mathematical
     # bound (both the per-row dot and the batched GEMM); inflating the
@@ -351,7 +325,7 @@ def top_k_blockwise(
         # each running top-k up front, exactly as the scalar oracle
         # does.  The per-seed 1-row product is the partition-stable
         # kernel, so the self score carries the full column's bits.
-        z_self = source.z_rows(seed_ids)
+        z_self = gather_z(seed_ids)
         for i in range(num_seeds):
             col = damping * exact_column_product(
                 z_self[i : i + 1, :], u_rows[i]
@@ -385,46 +359,44 @@ def top_k_blockwise(
         # (after the seed itself when it is kept).  No block can change
         # that, so such seeds skip every block.
         head_ids = np.arange(min(n, k_eff + 1), dtype=np.int64)
-        z_head = source.z_rows(head_ids)
+        z_head = gather_z(head_ids)
         for i in np.flatnonzero(zero_u):
             need = k_eff - best_nodes[i].size
             picks = np.flatnonzero(head_ids != seed_ids[i])[:need]
             merge(i, head_ids[picks], rescore(z_head[picks], i))
             done[i] = True
 
-    # descending bound order; unknown bounds (None) sort first and are
-    # always scanned, so a legacy manifest degrades to a full scan,
-    # never to a wrong skip
-    block_order = sorted(
-        source.plan,
-        key=lambda blk: (-np.inf if blk[3] is None else -blk[3], blk[0]),
-    )
     itemsize = np.dtype(dtype).itemsize
     if k_eff > 0:
-        for block_id, start, stop, bound in block_order:
-            if bound is None:
-                active = np.flatnonzero(~done)
-            else:
-                # seed i is done with this (and every later) block when
-                # the inflated bound sits strictly below its floor —
-                # candidates tied with the floor must still be scanned,
-                # since a smaller id wins the tie
-                limits = damping * bound * u_norms * (1.0 + safety) + safety
-                active = np.flatnonzero(~done & (~filled | (limits >= floors)))
-            rows = stop - start
-            if active.size == 0:
-                skipped += 1
-                continue
-            skipped[np.setdiff1d(np.arange(num_seeds), active)] += 1
+        visit = _visit_order(index)
+        # each block's bound is its first row's norm, the block maximum
+        bounds = visit.norms[::block_rows]
+        for block_id, bound in enumerate(bounds):
+            # seed i is done with this (and every later) block when the
+            # inflated bound sits strictly below its floor — candidates
+            # tied with the floor must still be scanned, since a
+            # smaller id wins the tie
+            limits = damping * bound * u_norms * (1.0 + safety) + safety
+            live = ~done & (~filled | (limits >= floors))
+            if not live.any():
+                # bounds only fall and floors only rise along the
+                # order, so no seed comes back: skip the rest
+                skipped += bounds.size - block_id
+                break
+            skipped[~live] += 1
+            active = np.flatnonzero(live)
+            start = block_id * block_rows
+            row_ids = visit.rows[start : start + block_rows]
+            rows = row_ids.size
             with tracer.span(
                 "topk.block",
                 parent=parent_span,
-                block=int(block_id),
-                rows=int(rows),
+                block=block_id,
+                rows=rows,
                 active=int(active.size),
                 query_mode=mode,
             ):
-                row_ids, z_blk = source.load(block_id, start, stop)
+                z_blk = gather_z(row_ids)
                 charge = memory.charged if memory is not None else None
                 ctx = (
                     charge("topk/block", rows * active.size * itemsize)
@@ -436,8 +408,6 @@ def top_k_blockwise(
                         z_blk, u_rows[active, :], damping
                     )
                     if exact:
-                        if bound is None:
-                            bound = _max_row_norm(z_blk)
                         margins = (
                             margin_scale * damping * bound * u_norms
                             + margin_floor
@@ -512,13 +482,6 @@ def filter_margin(rank: int, dtype) -> Tuple[float, float]:
     steps = (max(1, int(rank)) + 3) * float(info.eps) / 2.0
     scale = 2.0 * steps / (1.0 - steps)
     return scale, 2.0 * (int(rank) + 1) * float(info.smallest_subnormal)
-
-
-def _max_row_norm(z_rows: np.ndarray) -> float:
-    if z_rows.shape[0] == 0:
-        return 0.0
-    norms = np.linalg.norm(z_rows.astype(np.float64, copy=False), axis=1)
-    return float(norms.max())
 
 
 def _filter_rows(

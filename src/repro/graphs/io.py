@@ -10,7 +10,9 @@ order and the mapping is returned alongside the graph.
 from __future__ import annotations
 
 import io
+import numbers
 import os
+from collections.abc import Mapping
 from typing import Dict, Iterable, List, Optional, Sequence, TextIO, Tuple, Union
 
 import numpy as np
@@ -19,6 +21,7 @@ from repro.errors import GraphFormatError
 from repro.graphs.digraph import DiGraph
 
 __all__ = [
+    "IdentityMapping",
     "read_edge_list",
     "parse_edge_list",
     "write_edge_list",
@@ -28,6 +31,37 @@ __all__ = [
 ]
 
 PathOrFile = Union[str, "os.PathLike[str]", TextIO]
+
+#: Labels read with ``relabel=False`` must fit the int64 edge arrays.
+_MAX_LABEL = np.iinfo(np.int64).max
+
+
+class IdentityMapping(Mapping):
+    """The ``i -> i`` mapping on ``range(num_nodes)``, in O(1) memory.
+
+    What the readers return when labels already are node ids: a sparse
+    id space such as a lone label ``80220059`` must not cost a dict
+    entry per id.
+    """
+
+    __slots__ = ("_ids",)
+
+    def __init__(self, num_nodes: int):
+        self._ids = range(int(num_nodes))
+
+    def __getitem__(self, label):
+        if isinstance(label, numbers.Integral) and int(label) in self._ids:
+            return int(label)
+        raise KeyError(label)
+
+    def __iter__(self):
+        return iter(self._ids)
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def __repr__(self) -> str:
+        return f"IdentityMapping({len(self._ids)})"
 
 
 def _open_maybe(path_or_file: PathOrFile):
@@ -40,19 +74,17 @@ def _open_maybe(path_or_file: PathOrFile):
 def graph_from_labeled_edges(
     edges: Iterable[Tuple[object, object]],
     num_nodes: Optional[int] = None,
-) -> Tuple[DiGraph, Dict[object, int]]:
+) -> Tuple[DiGraph, Mapping]:
     """Build a :class:`DiGraph` from edges over arbitrary hashable labels.
 
     Returns the graph and the ``label -> dense id`` mapping.  If
     ``num_nodes`` is given, labels must be integers in ``[0, num_nodes)``
-    and are used directly (the mapping is then the identity on the seen
-    labels).
+    and are used directly (the mapping is then the
+    :class:`IdentityMapping` on ``range(num_nodes)``).
     """
     if num_nodes is not None:
         pairs = [(int(s), int(t)) for s, t in edges]
-        graph = DiGraph(num_nodes, pairs)
-        mapping = {i: i for i in range(num_nodes)}
-        return graph, mapping
+        return DiGraph(num_nodes, pairs), IdentityMapping(num_nodes)
 
     mapping: Dict[object, int] = {}
     sources: List[int] = []
@@ -75,7 +107,7 @@ def parse_edge_list(
     text: str,
     comment: str = "#",
     relabel: bool = True,
-) -> Tuple[DiGraph, Dict[object, int]]:
+) -> Tuple[DiGraph, Mapping]:
     """Parse an edge list from a string.  See :func:`read_edge_list`."""
     return read_edge_list(io.StringIO(text), comment=comment, relabel=relabel)
 
@@ -84,7 +116,7 @@ def read_edge_list(
     path_or_file: PathOrFile,
     comment: str = "#",
     relabel: bool = True,
-) -> Tuple[DiGraph, Dict[object, int]]:
+) -> Tuple[DiGraph, Mapping]:
     """Read a SNAP-style directed edge list.
 
     Parameters
@@ -97,13 +129,14 @@ def read_edge_list(
         When ``True`` (default), node labels may be arbitrary tokens and
         are densified in first-seen order.  When ``False``, labels must
         already be dense integers ``0..n-1`` with ``n`` inferred as
-        ``max label + 1``.
+        ``max label + 1``; a label that does not fit int64 raises
+        :class:`~repro.errors.GraphFormatError`.
 
     Returns
     -------
     (graph, mapping):
-        The graph and the ``label -> id`` mapping (identity when
-        ``relabel`` is ``False``).
+        The graph and the ``label -> id`` mapping (an
+        :class:`IdentityMapping` when ``relabel`` is ``False``).
     """
     handle, should_close = _open_maybe(path_or_file)
     try:
@@ -130,8 +163,12 @@ def read_edge_list(
     except ValueError as exc:
         raise GraphFormatError(f"non-integer node label with relabel=False: {exc}")
     num_nodes = 1 + max((max(s, t) for s, t in int_edges), default=-1)
-    graph = DiGraph(num_nodes, int_edges)
-    return graph, {i: i for i in range(num_nodes)}
+    if num_nodes - 1 > _MAX_LABEL:
+        raise GraphFormatError(
+            f"node label {num_nodes - 1} does not fit int64 "
+            "(use relabel=True for arbitrary labels)"
+        )
+    return DiGraph(num_nodes, int_edges), IdentityMapping(num_nodes)
 
 
 def read_weighted_edge_list(

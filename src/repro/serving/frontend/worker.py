@@ -57,6 +57,12 @@ __all__ = ["WorkerPool", "worker_main"]
 #: publish lands, so the immediately preceding store must stay usable.
 KEEP_VERSIONS = 2
 
+#: How often an idle worker checks that its parent is still alive.
+#: EOF alone cannot tell it: under fork, a worker inherits the pool's
+#: end of its own pipe (and later-forked siblings inherit it too), so a
+#: killed parent leaves the pipe open.
+PARENT_CHECK_S = 1.0
+
 
 def _pick_context() -> multiprocessing.context.BaseContext:
     """Fork when the platform has it (fast, shares the warm import
@@ -219,13 +225,18 @@ def worker_main(
     validate_reads: bool = False,
     replica_path: Optional[str] = None,
     num_workers: int = 1,
+    parent_pid: Optional[int] = None,
 ) -> None:
     """Entry point of one worker process: serve tasks until shutdown.
 
     The parent coordinates graceful drain by finishing in-flight tasks
     before sending ``shutdown``, so the worker ignores SIGTERM/SIGINT
     itself — a signal delivered to the whole process group must not
-    kill a worker mid-column while the parent is still draining.
+    kill a worker mid-column while the parent is still draining.  It
+    exits on EOF, or when its parent is no longer ``parent_pid`` (the
+    pool's pid, passed in because the parent may die before the worker
+    starts; default: the parent at start), checked every
+    :data:`PARENT_CHECK_S` while idle.
 
     The worker runs every loaded OpenBLAS at ``available_cpus() //
     num_workers`` threads (at least one) for its lifetime, so the
@@ -233,6 +244,7 @@ def worker_main(
     OpenBLAS thread spins on its core for ~0.1 s after each call, and
     one spinning in every worker would starve its siblings.
     """
+    parent = os.getppid() if parent_pid is None else parent_pid
     signal.signal(signal.SIGTERM, signal.SIG_IGN)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     from repro.core.index import available_cpus
@@ -250,6 +262,9 @@ def worker_main(
 
     while True:
         try:
+            while not conn.poll(PARENT_CHECK_S):
+                if os.getppid() != parent:
+                    raise EOFError
             message = conn.recv()
         except (EOFError, OSError):  # parent died: exit quietly
             break
@@ -400,6 +415,7 @@ class WorkerPool:
                 self.validate_reads,
                 self._base_replica_path,
                 self.num_workers,
+                os.getpid(),
             ),
             daemon=True,
             name=f"csrplus-worker-{worker_id}",

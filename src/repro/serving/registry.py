@@ -343,7 +343,9 @@ class IndexRegistry:
 
         Resolution mirrors :meth:`get` — memory, then the on-disk
         ``<root>/<name>.shards/`` store, then an out-of-core build
-        (:func:`~repro.sharding.builder.build_sharded_store`) — but the
+        (:func:`~repro.sharding.builder.build_sharded_store`).  As in
+        :meth:`get`, a store whose manifest records another config than
+        requested is rebuilt (``csrplus_registry_rebuilds_total``).  The
         disk tier verifies *per shard*: every shard file is re-hashed
         against the manifest digests, and corrupt or missing shards are
         quarantined and deterministically regenerated **individually**
@@ -380,7 +382,17 @@ class IndexRegistry:
                         )
                         self._quarantine_store(path)
                         store = None
-                    if store is not None:
+                    stale = store is not None and _config_mismatch(
+                        store.manifest.config, config, overrides
+                    )
+                    if stale:
+                        self._m_rebuilds.inc()
+                        logger.warning(
+                            "shard store %r was built with %s; rebuilding "
+                            "for the requested config", path, stale,
+                        )
+                        store = None
+                    elif store is not None:
                         store = self._repair_shards(
                             store, graph, rebuild_shards
                         )

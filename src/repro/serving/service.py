@@ -91,7 +91,6 @@ import functools
 import itertools
 import json
 import logging
-import os
 import threading
 import time
 from collections import deque
@@ -103,7 +102,7 @@ import numpy as np
 
 import repro.obs as obs
 from repro.core.base import QueryLike, normalize_queries
-from repro.core.index import CSRPlusIndex, exact_column_product
+from repro.core.index import CSRPlusIndex, available_cpus, exact_column_product
 from repro.core.topk import TopKResult, top_k_blockwise
 from repro.errors import (
     ColumnComputeFailed,
@@ -271,7 +270,9 @@ class CoSimRankService:
         (docs/topk.md).  ``0`` disables top-k caching.
     max_workers:
         Thread count for miss computation.  ``None`` (default) uses
-        ``os.cpu_count()``; ``1`` computes misses serially on the
+        the CPUs this process may run on
+        (:func:`~repro.core.index.available_cpus`, its affinity mask);
+        ``1`` computes misses serially on the
         calling thread (no executor is ever created).
     chunk_size:
         Misses handed to one worker task at a time.  In exact mode this
@@ -392,7 +393,7 @@ class CoSimRankService:
         self._index_version = 0
         self._swap_lock = threading.Lock()
         self._publish_lock = threading.Lock()
-        self.max_workers = int(max_workers or (os.cpu_count() or 1))
+        self.max_workers = int(max_workers or available_cpus())
         self.slow_query_seconds = slow_query_seconds
         self._clock = clock
         self._budget = SeedBudget(

@@ -144,6 +144,7 @@ class ShardedIndex:
         self._validate_reads = bool(validate_reads)
         self._read_retries = int(read_retries)
         self._shards: Dict[int, Shard] = {}
+        self._z_norms: Optional[np.ndarray] = None
         self._cache_lock = threading.Lock()
         self._executor: Optional[ThreadPoolExecutor] = None
         self._executor_lock = threading.Lock()
@@ -277,31 +278,25 @@ class ShardedIndex:
     # ------------------------------------------------------------------
     # blockwise top-k surface (consumed by repro.core.topk)
     # ------------------------------------------------------------------
-    def topk_block_plan(self):
-        """Shards as candidate blocks: ``(shard_id, start, stop, bound)``.
+    def z_row_norms(self) -> np.ndarray:
+        """Per-row ``||Z[x]||_2`` in float64, read once from the shards.
 
-        A shard is the natural row-block of the blockwise top-k kernel
-        (:func:`~repro.core.topk.top_k_blockwise`): ``bound`` is the
-        manifest's precomputed ``z_norm_max``, so the kernel can order
-        blocks and skip cold shards *without reading them*.  ``None``
-        stands in for manifests written before the field existed (bound
-        unknown: the kernel must load and scan those shards).
+        Same values and contract as :meth:`~repro.core.index.
+        CSRPlusIndex.z_row_norms` (the row norm is a function of the
+        row alone): the top-k kernel's score bounds.  Cached and
+        read-only.
         """
-        plan = []
-        for meta in self._store.manifest.shards:
-            bound = meta.z_norm_max if meta.z_norm_max >= 0.0 else None
-            plan.append((meta.index, meta.start, meta.stop, bound))
-        return plan
-
-    def load_topk_block(self, shard_id: int) -> np.ndarray:
-        """The ``Z`` rows of one block, via the retrying shard loader.
-
-        Shares :meth:`_get_shard`'s cache, retry budget, and typed
-        :class:`~repro.errors.ShardCorrupted` error path, so a poisoned
-        shard surfaces to the top-k caller exactly as it does to
-        :meth:`query_columns` — never as silently wrong rankings.
-        """
-        return self._get_shard(int(shard_id)).z
+        norms = self._z_norms
+        if norms is None:
+            norms = np.concatenate([
+                np.linalg.norm(
+                    self._get_shard(s).z.astype(np.float64, copy=False), axis=1
+                )
+                for s in range(self.num_shards)
+            ])
+            norms.flags.writeable = False
+            self._z_norms = norms
+        return norms
 
     def gather_u_rows(self, seeds) -> np.ndarray:
         """``U[seeds, :]`` gathered from owner shards only (seed order)."""

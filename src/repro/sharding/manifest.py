@@ -96,13 +96,12 @@ class ShardMeta:
     u_file: str
     z_sha256: str
     u_sha256: str
-    #: Largest ``||Z[x]||_2`` among the shard's rows (float64).  The
-    #: blockwise top-k kernel (:mod:`repro.core.topk`) uses it as a
-    #: Cauchy–Schwarz score bound, so a cold shard whose bound falls
-    #: below every seed's k-th floor is skipped without ever being read.
-    #: ``-1.0`` marks manifests written before the field existed: an
-    #: unknown bound, which the kernel treats as "never skip" (the
-    #: shard is always loaded and scanned — correct, just not pruned).
+    #: Largest ``||Z[x]||_2`` among the shard's rows (float64): the
+    #: shard's Cauchy–Schwarz score bound, kept in the store format.
+    #: The top-k kernel (:mod:`repro.core.topk`) takes its bounds from
+    #: the rows themselves (``ShardedIndex.z_row_norms``) and does not
+    #: read it.  ``-1.0`` marks manifests written before the field
+    #: existed.
     z_norm_max: float = -1.0
 
     @property

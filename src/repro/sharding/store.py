@@ -171,7 +171,7 @@ class ShardStoreWriter:
         u_block = np.ascontiguousarray(u_block)
         np.save(os.path.join(self.path, z_name), z_block)
         np.save(os.path.join(self.path, u_name), u_block)
-        # The per-shard score bound for blockwise top-k: a pure float64
+        # The shard's score bound (ShardMeta.z_norm_max): a pure float64
         # function of the shard bytes, so a single-shard rebuild
         # (repro.sharding.builder.rebuild_shards) reproduces it exactly.
         z_norms = np.linalg.norm(z_block.astype(np.float64, copy=False), axis=1)

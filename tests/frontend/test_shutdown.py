@@ -190,3 +190,49 @@ class TestSigtermEndToEnd:
             if process.poll() is None:
                 process.kill()
                 process.wait(timeout=30)
+
+
+#: Owns a two-worker pool, prints the worker pids, then blocks until killed.
+_POOL_OWNER = """
+import sys
+from repro.serving.frontend import WorkerPool
+
+pool = WorkerPool(sys.argv[1], num_workers=2)
+print(" ".join(str(pid) for pid in pool.worker_pids()), flush=True)
+sys.stdin.read()
+"""
+
+
+@pytest.mark.timeout(120)
+class TestParentDeath:
+    def test_workers_exit_when_their_pool_owner_is_killed(self, store_path):
+        """SIGKILL leaves no chance to send ``shutdown``, and under
+        fork each worker holds the pool's end of its own pipe, so no
+        EOF arrives: the workers must notice the dead parent
+        themselves.  The owner is killed as soon as the pool exists,
+        possibly before a worker has started."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.abspath("src")
+        owner = subprocess.Popen(
+            [sys.executable, "-c", _POOL_OWNER, str(store_path)],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            env=env,
+            text=True,
+        )
+        pids = []
+        try:
+            pids = [int(pid) for pid in owner.stdout.readline().split()]
+            assert len(pids) == 2 and all(_pid_alive(pid) for pid in pids)
+            owner.kill()
+            owner.wait(timeout=30)
+            assert _wait_pids_gone(pids, timeout_s=30.0), (
+                f"workers outlived their killed parent: {pids}"
+            )
+        finally:
+            if owner.poll() is None:
+                owner.kill()
+                owner.wait(timeout=30)
+            for pid in pids:
+                if _pid_alive(pid):
+                    os.kill(pid, signal.SIGKILL)

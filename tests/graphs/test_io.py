@@ -1,6 +1,7 @@
 """Unit tests for edge-list IO."""
 
 import io
+import tracemalloc
 
 import pytest
 
@@ -42,6 +43,29 @@ class TestParse:
         assert graph.num_nodes == 6
         assert graph.has_edge(0, 5)
         assert mapping[3] == 3
+
+    def test_relabel_false_sparse_labels_map_lazily(self):
+        """A lone large label must not cost a dict entry per id."""
+        tracemalloc.start()
+        try:
+            graph, mapping = parse_edge_list("3 80220059\n", relabel=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        assert graph.num_nodes == len(mapping) == 80_220_060
+        assert mapping[80_220_059] == 80_220_059
+        assert 80_220_060 not in mapping and -1 not in mapping
+        assert list(parse_edge_list("0 2\n", relabel=False)[1].items()) == [
+            (0, 0), (1, 1), (2, 2)
+        ]
+
+    @pytest.mark.parametrize(
+        "label", ["9223372036854775808", "123456789012345678901234"]
+    )
+    def test_relabel_false_rejects_labels_beyond_int64(self, label):
+        with pytest.raises(GraphFormatError, match="int64"):
+            parse_edge_list(f"1 {label}\n", relabel=False)
 
     def test_relabel_false_rejects_strings(self):
         with pytest.raises(GraphFormatError):

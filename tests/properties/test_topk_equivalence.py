@@ -9,7 +9,8 @@ across:
 
 * arbitrary small digraphs (plus hub-skewed stars — heavy ties and
   extreme norm skew) and seed batches with duplicates;
-* shard counts ``{1, 2, 7, n}`` and the monolithic layout;
+* shard counts ``{1, 2, 7, n}`` and the monolithic layout, and block
+  heights ``{1, 3, 4096}`` over each;
 * both storage dtypes (float64 / float32);
 * ``k`` spanning ``{1, 5, n-1, n}`` (clamping included);
 * ``exclude_self`` on and off;
@@ -105,7 +106,9 @@ def test_blockwise_matches_full_sort(case):
 @settings(**SETTINGS)
 @given(case=topk_case())
 def test_sharded_blockwise_matches_full_sort(case, tmp_path_factory):
-    """Contract 2: shard-per-block evaluation is bit-identical too."""
+    """Contract 2: norm-ordered blocks gathered from the shards are
+    bit-identical too, at every block height — including blocks whose
+    rows span several shards."""
     graph, seeds, rank, dtype, num_shards, k, exclude_self = case
     index = CSRPlusIndex(graph, rank=rank, dtype=dtype).prepare()
     expected = _reference(index, seeds, k, exclude_self)
@@ -113,10 +116,12 @@ def test_sharded_blockwise_matches_full_sort(case, tmp_path_factory):
         index, tmp_path_factory.mktemp("store"), num_shards=num_shards
     )
     with ShardedIndex(store, max_workers=1) as sharded:
-        results = top_k_blockwise(
-            sharded, seeds, k, exclude_self=exclude_self, mode="exact"
-        )
-    _assert_identical(results, expected)
+        for block_rows in (1, 3, 4096):
+            results = top_k_blockwise(
+                sharded, seeds, k,
+                exclude_self=exclude_self, block_rows=block_rows, mode="exact",
+            )
+            _assert_identical(results, expected)
 
 
 @settings(**SETTINGS)

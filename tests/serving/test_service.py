@@ -1,5 +1,7 @@
 """Behavioural tests for CoSimRankService (single-threaded paths)."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -165,6 +167,17 @@ class TestValidation:
             CoSimRankService(index, max_workers=0)
         with pytest.raises(InvalidParameterError):
             CoSimRankService(index, cache_columns=-1)
+
+    def test_default_workers_follow_the_affinity_mask(
+        self, index, monkeypatch
+    ):
+        """Three CPUs in the mask on a 64-CPU box: three threads."""
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False
+        )
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        with CoSimRankService(index) as service:
+            assert service.max_workers == 3
 
     def test_unprepared_index_is_prepared_on_construction(self, small_er):
         index = CSRPlusIndex(small_er, rank=4)

@@ -154,3 +154,42 @@ class TestStoreLevelCorruption:
         assert metrics.counter("csrplus_registry_rebuilds_total", "x").value == 1
         # the damaged store was moved aside, not silently deleted
         assert os.path.exists(path + ".corrupt")
+
+
+class TestSavedConfig:
+    def test_disk_hit_with_another_config_rebuilds(
+        self, registry, graph, metrics
+    ):
+        def get(name, **config):
+            return registry.get_sharded(
+                name, graph, num_shards=4, max_workers=1, **config
+            )
+
+        get("cl100", rank=6).close()
+        registry.evict("cl100")
+        sharded = get("cl100", rank=8, damping=0.8)
+        assert (sharded.config.rank, sharded.config.damping) == (8, 0.8)
+        assert metrics.counter("csrplus_registry_rebuilds_total", "x").value == 1
+        fresh = get("fresh", rank=8, damping=0.8)
+        assert np.array_equal(
+            sharded.query_columns(SEEDS), fresh.query_columns(SEEDS)
+        )
+        sharded.close()
+        fresh.close()
+        registry.evict("cl100")
+        # the rebuilt store replaced the old one: the next request for
+        # the same config loads it as is
+        get("cl100", rank=8, damping=0.8).close()
+        assert metrics.counter("csrplus_registry_rebuilds_total", "x").value == 1
+
+    def test_request_without_config_accepts_the_saved_one(
+        self, registry, graph, metrics
+    ):
+        _get(registry, graph, damping=0.7).close()
+        registry.evict("cl100")
+        sharded = registry.get_sharded(
+            "cl100", graph, num_shards=4, max_workers=1, rank=6
+        )
+        assert (sharded.config.rank, sharded.config.damping) == (6, 0.7)
+        sharded.close()
+        assert metrics.counter("csrplus_registry_rebuilds_total", "x").value == 0
