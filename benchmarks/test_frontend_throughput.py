@@ -89,7 +89,6 @@ def test_four_processes_beat_four_threads_on_gemv_path(
             query_mode="exact",
             cache_columns=0,
             topk_cache_entries=0,
-            coalesce_window_s=0.0,
         ),
     )
     with frontend:
@@ -145,7 +144,7 @@ def test_frontend_answers_match_thread_pool_bitwise(store_path):
     index.close()
     frontend = BackgroundFrontend(
         store_path,
-        config=FrontendConfig(workers=2, coalesce_window_s=0.0),
+        config=FrontendConfig(workers=2),
     )
     with frontend, FrontendClient(frontend.url) as client:
         got = client.serve_batch(requests)

@@ -485,11 +485,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_query_mode(serve)
     _add_service_knobs(serve)
     serve.add_argument(
-        "--coalesce-ms", type=float, default=2.0, metavar="MS",
-        help="window in which concurrent HTTP requests merge into one "
-        "service batch (0 = coalesce only what is already queued)",
-    )
-    serve.add_argument(
         "--no-admin", action="store_true",
         help="disable the /admin/* surface (publish, fault injection)",
     )
@@ -1320,7 +1315,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         query_mode=args.query_mode,
         cache_columns=args.cache_columns,
         max_inflight_seeds=args.max_inflight_seeds,
-        coalesce_window_s=args.coalesce_ms / 1000.0,
         admin=not args.no_admin,
         validate_reads=args.validate_reads,
     )

@@ -22,9 +22,13 @@ Two kernels implement this idea (docs/topk.md):
   object (an in-memory index and a
   :class:`~repro.sharding.ShardedIndex` alike), so block bounds fall
   along the scan: a block is skipped once its bound falls below every
-  live seed's k-th floor, and the scan stops there.  Peak extra memory
-  is ``O(block_rows * |Q|)`` — a dense ``n x |Q|`` score matrix is
-  never materialised.
+  live seed's k-th floor, and the scan stops there.  The order also
+  keeps the ``Z`` rows of its head resident, contiguous and in visit
+  order, up to :data:`RESIDENT_PREFIX_BYTES`: the blocks most calls
+  read are sliced from that copy instead of gathered again.  Extra
+  memory is ``O(block_rows * |Q|)`` per call plus at most
+  ``RESIDENT_PREFIX_BYTES`` per index — a dense ``n x |Q|`` score
+  matrix is never materialised.
 
 Both kernels reproduce ``SimilarityEngine.top_k``'s exact ordering —
 descending score, ties broken by ascending node id — so their results
@@ -156,17 +160,59 @@ def top_k_pruned(
 DEFAULT_BLOCK_ROWS = 4096
 
 
+#: Bytes of ``Z``'s norm-ordered head that each index's visit order
+#: keeps resident: 4 MiB is 8 default blocks at rank 16 in float64.
+#: Skewed seeds rarely read past the first block or two, so slicing
+#: those from one contiguous copy saves re-gathering the same rows on
+#: every call; the cap stops a seed that scans everything from leaving
+#: a full copy of ``Z`` behind.
+RESIDENT_PREFIX_BYTES = 4 << 20
+
+
 class _VisitOrder:
     """One index's rows in decreasing ``||Z[x]||`` order, ties by
     ascending id (the scalar oracle's order), with the norms in that
     order: the first norm of each ``block_rows`` slice is its block's
-    bound, so any block height is served from the same O(n) state."""
+    bound, so any block height is served from the same O(n) state.
 
-    __slots__ = ("rows", "norms")
+    It also holds the ``Z`` rows of the order's head, contiguous and
+    in visit order, filled on demand up to ``RESIDENT_PREFIX_BYTES``.
+    The gatherer comes with each call and is never stored: a bound
+    method would keep its index alive through the weak-key cache.
+    """
+
+    __slots__ = ("rows", "norms", "_head", "_lock")
 
     def __init__(self, norms: np.ndarray):
         self.rows = np.lexsort((np.arange(norms.size), -norms))
         self.norms = norms[self.rows]
+        #: ``Z[rows[:m]]`` for the ``m`` head rows filled so far
+        self._head: Optional[np.ndarray] = None
+        self._lock = threading.Lock()
+
+    def z_block(self, start: int, stop: int, gather_z, row_bytes: int):
+        """``Z`` rows of visit positions ``[start, stop)``.
+
+        A block that ends within the cap is sliced from the resident
+        head, which first grows to cover it if it is shorter — at least
+        doubling, within the cap, so small blocks fill it in O(cap)
+        copying; a failed gather leaves it as it was.  Any other block
+        is gathered.  Either way the rows carry ``Z``'s bytes."""
+        head = self._head
+        if head is not None and stop <= head.shape[0]:
+            return head[start:stop]
+        cap_rows = min(self.rows.size, RESIDENT_PREFIX_BYTES // row_bytes)
+        if stop > cap_rows:
+            return gather_z(self.rows[start:stop])
+        with self._lock:
+            head = self._head
+            have = 0 if head is None else head.shape[0]
+            if stop > have:
+                grow_to = min(max(stop, 2 * have), cap_rows)
+                tail = gather_z(self.rows[have:grow_to])
+                head = tail if head is None else np.concatenate([head, tail])
+                self._head = head
+        return head[start:stop]
 
 
 #: Visit orders by index object.  Weak keys: an order never keeps its
@@ -219,8 +265,12 @@ def top_k_blockwise(
     so block bounds only fall: a block whose Cauchy–Schwarz bound
     ``c * max||Z[x]|| * ||U[q]||`` falls below a seed's current k-th
     floor is skipped for that seed, never gathered once every seed can
-    skip it, and the scan stops when no seed is left.  Peak extra
-    memory is ``O(block_rows * |Q|)``; a dense ``n x |Q|``
+    skip it, and the scan stops when no seed is left.  A block that
+    ends within the order's first :data:`RESIDENT_PREFIX_BYTES` of
+    ``Z`` rows is sliced from a resident copy of that head, filled on
+    demand; later blocks are gathered on every call.  Extra memory is
+    ``O(block_rows * |Q|)`` per call plus at most
+    ``RESIDENT_PREFIX_BYTES`` per index; a dense ``n x |Q|``
     intermediate is never formed.
 
     Parameters
@@ -367,6 +417,7 @@ def top_k_blockwise(
             done[i] = True
 
     itemsize = np.dtype(dtype).itemsize
+    row_bytes = u_rows.shape[1] * itemsize
     if k_eff > 0:
         visit = _visit_order(index)
         # each block's bound is its first row's norm, the block maximum
@@ -386,7 +437,8 @@ def top_k_blockwise(
             skipped[~live] += 1
             active = np.flatnonzero(live)
             start = block_id * block_rows
-            row_ids = visit.rows[start : start + block_rows]
+            stop = min(start + block_rows, n)
+            row_ids = visit.rows[start:stop]
             rows = row_ids.size
             with tracer.span(
                 "topk.block",
@@ -396,7 +448,7 @@ def top_k_blockwise(
                 active=int(active.size),
                 query_mode=mode,
             ):
-                z_blk = gather_z(row_ids)
+                z_blk = visit.z_block(start, stop, gather_z, row_bytes)
                 charge = memory.charged if memory is not None else None
                 ctx = (
                     charge("topk/block", rows * active.size * itemsize)

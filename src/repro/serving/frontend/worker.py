@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import logging
 import multiprocessing
+import multiprocessing.util
 import os
 import queue
 import signal
@@ -345,6 +346,27 @@ class _WorkerHandle:
         self.worker_id = worker_id
 
 
+def _stop_workers(workers: Dict[int, _WorkerHandle], timeout_s: float) -> None:
+    """Send every worker ``shutdown``, join it, and close its pipe.
+
+    Stragglers past the timeout are killed: workers ignore SIGTERM,
+    and they hold no state worth saving."""
+    deadline = time.monotonic() + timeout_s
+    for handle in list(workers.values()):
+        try:
+            handle.conn.send(("shutdown",))
+        except (BrokenPipeError, OSError):
+            pass
+        handle.process.join(timeout=max(0.1, deadline - time.monotonic()))
+        if handle.process.is_alive():  # pragma: no cover - stuck worker
+            handle.process.kill()
+            handle.process.join(timeout=1.0)
+        try:
+            handle.conn.close()
+        except OSError:  # pragma: no cover - already closed
+            pass
+
+
 class WorkerPool:
     """A fixed-size pool of shard-serving worker processes.
 
@@ -398,6 +420,13 @@ class WorkerPool:
         self._last_metrics: Dict[int, Dict[str, Any]] = {}
         self._respawns = 0
         self._closed = False
+        # A pool still open at interpreter exit (or dropped unclosed)
+        # stops its workers here.  multiprocessing's own exit handler
+        # would SIGTERM and join them, but workers ignore SIGTERM, so
+        # that join never returns; exit priority 0 runs this first.
+        self._finalizer = multiprocessing.util.Finalize(
+            self, _stop_workers, args=(self._workers, 10.0), exitpriority=0
+        )
         for worker_id in range(self.num_workers):
             self._workers[worker_id] = self._spawn(worker_id)
             self._free.put(worker_id)
@@ -471,33 +500,21 @@ class WorkerPool:
 
         Acquires every worker from the free queue (so no task is
         interrupted), sends ``shutdown``, and joins.  Stragglers past
-        the timeout are terminated — they hold no state worth saving.
+        the timeout are killed — they hold no state worth saving.
         """
         with self._lock:
             if self._closed:
                 return
             self._closed = True
         deadline = time.monotonic() + timeout_s
-        acquired: List[int] = []
         for _ in range(self.num_workers):
             remaining = max(0.0, deadline - time.monotonic())
             try:
-                acquired.append(self._free.get(timeout=remaining or 0.01))
+                self._free.get(timeout=remaining or 0.01)
             except queue.Empty:  # pragma: no cover - stuck worker
                 break
-        for worker_id, handle in list(self._workers.items()):
-            try:
-                handle.conn.send(("shutdown",))
-            except (BrokenPipeError, OSError):
-                pass
-            handle.process.join(timeout=max(0.1, deadline - time.monotonic()))
-            if handle.process.is_alive():  # pragma: no cover - stuck worker
-                handle.process.terminate()
-                handle.process.join(timeout=1.0)
-            try:
-                handle.conn.close()
-            except OSError:  # pragma: no cover - already closed
-                pass
+        self._finalizer.cancel()
+        _stop_workers(self._workers, max(0.0, deadline - time.monotonic()))
 
     def __enter__(self) -> "WorkerPool":
         return self

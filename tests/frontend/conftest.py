@@ -58,7 +58,7 @@ def frontend(tiered_store_path):
     """A live HTTP frontend with 2 workers, shared across the session."""
     background = BackgroundFrontend(
         tiered_store_path,
-        config=FrontendConfig(workers=2, coalesce_window_s=0.0),
+        config=FrontendConfig(workers=2),
     )
     with background:
         yield background

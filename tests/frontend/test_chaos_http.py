@@ -24,7 +24,7 @@ def chaos_client(store_path):
     into the shared session server."""
     background = BackgroundFrontend(
         store_path,
-        config=FrontendConfig(workers=1, coalesce_window_s=0.0),
+        config=FrontendConfig(workers=1),
     )
     with background:
         with FrontendClient(background.url) as client:

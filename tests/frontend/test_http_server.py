@@ -44,7 +44,7 @@ def cold_frontend(store_path):
     from repro.serving.frontend import BackgroundFrontend, FrontendConfig
 
     background = BackgroundFrontend(
-        store_path, config=FrontendConfig(workers=1, coalesce_window_s=0.0)
+        store_path, config=FrontendConfig(workers=1)
     )
     with background:
         yield background

@@ -60,7 +60,7 @@ class TestBackgroundDrain:
     ):
         background = BackgroundFrontend(
             store_path,
-            config=FrontendConfig(workers=1, coalesce_window_s=0.0),
+            config=FrontendConfig(workers=1),
         )
         url = background.start()
         try:
@@ -135,7 +135,7 @@ class TestBackgroundDrain:
     def test_drain_is_idempotent_and_close_safe(self, store_path):
         background = BackgroundFrontend(
             store_path,
-            config=FrontendConfig(workers=1, coalesce_window_s=0.0),
+            config=FrontendConfig(workers=1),
         )
         url = background.start()
         with FrontendClient(url) as client:
@@ -228,6 +228,51 @@ class TestParentDeath:
             owner.wait(timeout=30)
             assert _wait_pids_gone(pids, timeout_s=30.0), (
                 f"workers outlived their killed parent: {pids}"
+            )
+        finally:
+            if owner.poll() is None:
+                owner.kill()
+                owner.wait(timeout=30)
+            for pid in pids:
+                if _pid_alive(pid):
+                    os.kill(pid, signal.SIGKILL)
+
+
+#: Opens a one-worker pool, uses it once, prints the worker pid, and
+#: falls off its end without closing the pool.
+_POOL_LEFT_OPEN = """
+import sys
+from repro.serving.frontend import WorkerPool
+
+pool = WorkerPool(sys.argv[1], 1)
+assert pool.submit("ping") == "pong"
+print(" ".join(str(pid) for pid in pool.worker_pids()), flush=True)
+"""
+
+
+@pytest.mark.timeout(120)
+class TestExitWithOpenPool:
+    def test_process_exits_and_stops_its_workers(self, store_path):
+        """multiprocessing's exit handler SIGTERMs daemonic children and
+        joins them; workers ignore SIGTERM, so without the pool's own
+        exit hook the join never returns and the process hangs."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.abspath("src")
+        owner = subprocess.Popen(
+            [sys.executable, "-c", _POOL_LEFT_OPEN, str(store_path)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+            text=True,
+        )
+        pids = []
+        try:
+            pids = [int(pid) for pid in owner.stdout.readline().split()]
+            assert len(pids) == 1
+            code = owner.wait(timeout=20)
+            assert code == 0, owner.stderr.read()
+            assert _wait_pids_gone(pids, timeout_s=5.0), (
+                f"workers outlived their exited parent: {pids}"
             )
         finally:
             if owner.poll() is None:

@@ -7,16 +7,21 @@ index.  Shards are contiguous id ranges, so each holds a hub; blocks
 of the norm order do not, and their bounds fall below the seeds'
 floors.  The order is built from ``z_row_norms`` on an index's first
 top-k call only, and the cache that holds it never keeps an index
-alive.
+alive.  The order also keeps the ``Z`` rows of its head resident, up
+to ``RESIDENT_PREFIX_BYTES``; blocks sliced from that copy must carry
+the bytes a gather would.
 """
 
 import gc
+import sys
+import threading
 import weakref
 
 import numpy as np
 import pytest
 
-from repro.core.index import CSRPlusIndex
+from repro.core import topk
+from repro.core.index import CSRPlusIndex, batched_query_atol
 from repro.core.topk import DEFAULT_BLOCK_ROWS, top_k_blockwise
 from repro.graphs.generators import preferential_attachment
 from repro.sharding import ShardedIndex, shard_index
@@ -118,3 +123,155 @@ class TestVisitOrderCache:
         del sharded
         gc.collect()
         assert retired() is None
+
+
+def _full_sort(reference, seeds, k):
+    """Each seed's full-sort ranking, with its exact column's bytes."""
+    rankings = []
+    for seed in seeds:
+        nodes = reference.top_k(seed, k)
+        rankings.append(
+            topk.TopKResult(nodes, reference.single_source(seed)[nodes], 0)
+        )
+    return rankings
+
+
+@pytest.fixture
+def fresh_orders(monkeypatch):
+    """An empty visit-order cache, so each index builds (and fills) its
+    order under the test's cap."""
+    monkeypatch.setattr(topk, "_VISIT_ORDERS", weakref.WeakKeyDictionary())
+    return topk._VISIT_ORDERS
+
+
+def _open(backend, skewed_index, store):
+    if backend == "memory":
+        return skewed_index
+    return ShardedIndex(store, max_workers=1)
+
+
+class TestResidentHead:
+    @pytest.mark.parametrize("backend", ["memory", "sharded"])
+    @pytest.mark.parametrize("mode", ["exact", "batched"])
+    @pytest.mark.parametrize("block_rows", [1, 7, 128, None])
+    @pytest.mark.parametrize("cap", ["none", "one-block", "mid-block", "all"])
+    def test_blocks_from_the_copy_carry_the_gathered_bytes(
+        self, backend, mode, block_rows, cap, skewed_index, store,
+        monkeypatch, fresh_orders,
+    ):
+        n = skewed_index.num_nodes
+        block_rows = n if block_rows is None else block_rows
+        row_bytes = skewed_index.rank * np.dtype(skewed_index.dtype).itemsize
+        cap_bytes = {
+            "none": 0,
+            "one-block": block_rows * row_bytes,
+            "mid-block": (5 * block_rows * row_bytes) // 2,
+            "all": n * row_bytes,
+        }[cap]
+        index = _open(backend, skewed_index, store)
+        # the gathered answer, from a cache the capped run does not share
+        monkeypatch.setattr(topk, "RESIDENT_PREFIX_BYTES", 0)
+        gathered = top_k_blockwise(
+            index, SEEDS, 10, block_rows=block_rows, mode=mode
+        )
+        fresh_orders.clear()
+        monkeypatch.setattr(topk, "RESIDENT_PREFIX_BYTES", cap_bytes)
+        for _ in range(2):  # the filling call, then a warm one
+            results = top_k_blockwise(
+                index, SEEDS, 10, block_rows=block_rows, mode=mode
+            )
+            _assert_same(results, gathered)
+            head = fresh_orders[index]._head
+            assert head is None or head.nbytes <= cap_bytes
+        if cap != "none":
+            assert head is not None and head.shape[0] >= block_rows
+        want = _full_sort(skewed_index, SEEDS, 10)
+        if mode == "exact":
+            _assert_same(results, want)
+        else:
+            # the k-th best batched score is within the contract of
+            # the k-th best exact one, whichever near-tie wins
+            atol = batched_query_atol(skewed_index.rank, skewed_index.dtype)
+            for got, ranking in zip(results, want):
+                assert got.scores.size == ranking.scores.size
+                np.testing.assert_allclose(
+                    got.scores, ranking.scores, rtol=0, atol=atol
+                )
+        if backend == "sharded":
+            index.close()
+
+    @pytest.mark.parametrize("backend", ["memory", "sharded"])
+    @pytest.mark.parametrize("block_rows", [7, BLOCK_ROWS])
+    def test_racing_first_calls_match_a_serial_call(
+        self, backend, block_rows, skewed_index, store, fresh_orders
+    ):
+        serial = top_k_blockwise(
+            skewed_index, SEEDS, 10, block_rows=block_rows
+        )
+        fresh_orders.clear()
+        index = _open(backend, skewed_index, store)
+        # open every shard first: the race is over the order and its
+        # head, not over first shard loads
+        index.z_row_norms()
+        start = threading.Barrier(8)
+        results = [None] * 8
+
+        def race(slot):
+            start.wait()
+            results[slot] = top_k_blockwise(
+                index, SEEDS, 10, block_rows=block_rows
+            )
+
+        threads = [threading.Thread(target=race, args=(slot,)) for slot in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the fills finely
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for got in results:
+            _assert_same(got, serial)
+        if backend == "sharded":
+            index.close()
+
+    @pytest.mark.parametrize("backend", ["memory", "sharded"])
+    def test_a_failed_fill_raises_and_the_next_call_is_exact(
+        self, backend, skewed_index, store, monkeypatch, fresh_orders
+    ):
+        gatherers = topk._row_gatherers
+        failures = []
+
+        def flaky(index):
+            gather_z, gather_u = gatherers(index)
+
+            def gather_once_failing(ids):
+                if not failures:
+                    failures.append(len(ids))
+                    raise OSError("injected shard read failure")
+                return gather_z(ids)
+
+            return gather_once_failing, gather_u
+
+        monkeypatch.setattr(topk, "_row_gatherers", flaky)
+        index = _open(backend, skewed_index, store)
+        with pytest.raises(OSError, match="injected"):
+            top_k_blockwise(index, SEEDS, 10, block_rows=BLOCK_ROWS)
+        assert failures == [BLOCK_ROWS]  # it was the head's first fill
+        assert fresh_orders[index]._head is None
+        results = top_k_blockwise(index, SEEDS, 10, block_rows=BLOCK_ROWS)
+        _assert_same(results, _full_sort(skewed_index, SEEDS, 10))
+        if backend == "sharded":
+            index.close()
+
+    def test_the_order_holds_no_gatherer(self, store, fresh_orders):
+        sharded = ShardedIndex(store, max_workers=1)
+        top_k_blockwise(sharded, SEEDS, 10, block_rows=BLOCK_ROWS)
+        order = fresh_orders[sharded]
+        assert order._head is not None
+        held = [ref for ref in gc.get_referents(order) if ref is not type(order)]
+        assert not any(callable(ref) for ref in held)
+        sharded.close()
