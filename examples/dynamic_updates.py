@@ -6,13 +6,13 @@ it is now a served scenario (docs/dynamic.md): a
 :class:`~repro.serving.CoSimRankService` answers a deterministic
 loadgen schedule — the same mutation harness behind
 ``csrplus loadgen --mutate-every``.  Every applied batch repairs the
-index, publishes a new version atomically (in-flight batches finish on
-the old one), and upgrades the per-seed caches instead of flushing
-them.  A real edge batch perturbs the global SVD factors, so its swap
-honestly invalidates; a batch that coalesces to a byte-no-op (re-adding
-an edge that already exists) publishes a new version whose cached
-columns replay their exact pre-swap bytes — the cache stays warm across
-the version bump.
+index and publishes a new version atomically (in-flight batches finish
+on the old one).  The caches advance all-or-nothing: a real edge batch
+perturbs the global SVD factors, so every row that is not zero moves
+and its swap drops every cached answer; a batch that coalesces to a
+byte-no-op (re-adding an edge that already exists) publishes a new
+version whose cached columns replay their exact pre-swap bytes — the
+cache stays warm across the version bump.
 
 Run with:  python examples/dynamic_updates.py
 """

@@ -256,8 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     update = sub.add_parser(
         "update",
-        help="apply an edge batch to a sharded store by targeted repair "
-        "(only digest-changed shards are rewritten; docs/dynamic.md)",
+        help="apply an edge batch to a sharded store, writing the next "
+        "version into a new directory (docs/dynamic.md)",
     )
     _add_graph_source(update)
     update.add_argument(
@@ -275,11 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     update.add_argument(
         "--remove", default="", metavar="SRC:DST,...",
         help="edges to remove (missing edges are ignored)",
-    )
-    update.add_argument(
-        "--dirty-threshold", type=float, default=0.5, metavar="F",
-        help="dirty-shard fraction above which targeted repair falls "
-        "back to a full rebuild",
     )
     update.add_argument(
         "--overwrite", action="store_true",
@@ -352,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--live-shards", type=int, default=None, metavar="K",
         help="shard the live backend into K node ranges and route "
-        "updates through targeted repair (requires --live-store)",
+        "updates through shard repair (requires --live-store)",
     )
     serve.add_argument(
         "--live-store", default=None, metavar="DIR",
@@ -728,11 +723,7 @@ def _cmd_update(args: argparse.Namespace) -> int:
     graph = graph.with_edges_added(added).with_edges_removed(removed)
     started = time.perf_counter()
     report = repair_sharded_store(
-        graph,
-        args.store,
-        args.out,
-        dirty_threshold=args.dirty_threshold,
-        overwrite=args.overwrite,
+        graph, args.store, args.out, overwrite=args.overwrite
     )
     elapsed = time.perf_counter() - started
     payload = {
@@ -742,24 +733,18 @@ def _cmd_update(args: argparse.Namespace) -> int:
         "edges_removed": len(removed),
         "repaired_shards": list(report.repaired_shards),
         "total_shards": report.total_shards,
-        "dirty_fraction": report.dirty_fraction,
-        "full_rebuild": report.full_rebuild,
-        "dirty_ranges": [list(r) for r in report.dirty_ranges],
         "repair_seconds": elapsed,
     }
     if args.json:
         print(json.dumps(payload, indent=2))
         return 0
-    kind = "full rebuild" if report.full_rebuild else "targeted repair"
     print(
-        f"{kind}: {len(report.repaired_shards)}/{report.total_shards} "
-        f"shard(s) rewritten (dirty fraction "
-        f"{report.dirty_fraction:.2f}) in {elapsed:.3f}s"
+        f"repair: {len(report.repaired_shards)}/{report.total_shards} "
+        f"shard(s) changed in {elapsed:.3f}s"
     )
     print(
         f"next-version store written to {report.path} "
-        f"(+{len(added)}/-{len(removed)} edges; clean shards hard-linked "
-        f"from {args.store})"
+        f"(+{len(added)}/-{len(removed)} edges)"
     )
     return 0
 
@@ -906,7 +891,6 @@ def _cmd_serve_batch(args: argparse.Namespace) -> int:
                 entry["index_version"] = service.index_version
                 if link is not None and chain.is_sharded:
                     entry["repaired_shards"] = len(link.repaired_shards)
-                    entry["full_rebuild"] = link.full_rebuild
             passes.append(entry)
         stats = service.stats()
         topk_stats = service.topk_stats() if args.topk is not None else None

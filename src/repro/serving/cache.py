@@ -37,16 +37,13 @@ Live-graph versioning (docs/dynamic.md): every entry carries an index
 *version tag*.  ``lookup``/``insert`` accept the version a batch pinned
 at entry — a hit requires a matching tag, and an insert from a batch
 still finishing on an already-replaced index is silently dropped (a
-stale producer must never poison the new version's cache).  On a
-version swap, :meth:`ColumnCache.advance` invalidates *per seed*
-rather than flushing wholesale: seeds whose own ``U`` row changed are
-dropped, surviving columns have just their dirty ``Z`` row ranges
-recomputed (the partition-stable exact kernel makes the patched column
-bit-identical to a fresh compute), and untouched entries are simply
-retagged — staying warm across the swap.  :meth:`TopKCache.advance`
-retags on a clean swap and clears otherwise: a ranking is a *global*
-ordering, so any changed row can displace cached entries and no local
-patch can restore the prefix guarantee.
+stale producer must never poison the new version's cache).  A version
+swap is all-or-nothing: ``advance(version, changed)`` retags every
+entry when the new index's factors are byte-identical to the old ones
+(the cached bytes are provably still the answers) and drops every
+entry otherwise.  CSR+ factors come from one global SVD, so a real
+edge change moves every nonzero row of ``Z`` and ``U``: no entry could
+be kept or patched.
 """
 
 from __future__ import annotations
@@ -54,7 +51,7 @@ from __future__ import annotations
 import threading
 import zlib
 from collections import OrderedDict
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -68,23 +65,6 @@ __all__ = ["ColumnCache", "TopKCache"]
 def _fingerprint(column: np.ndarray) -> int:
     """A cheap integrity fingerprint of a column's exact bytes."""
     return zlib.crc32(np.ascontiguousarray(column).view(np.uint8).data)
-
-
-#: ``(start, stop)`` node ranges whose ``Z``/``U`` rows changed in a swap.
-DirtyRanges = Sequence[Tuple[int, int]]
-
-
-def _normalize_ranges(dirty_ranges: DirtyRanges) -> List[Tuple[int, int]]:
-    ranges = []
-    for start, stop in dirty_ranges:
-        start, stop = int(start), int(stop)
-        if stop > start:
-            ranges.append((start, stop))
-    return ranges
-
-
-def _in_ranges(row: int, ranges: List[Tuple[int, int]]) -> bool:
-    return any(start <= row < stop for start, stop in ranges)
 
 
 class ColumnCache:
@@ -303,78 +283,27 @@ class ColumnCache:
                 evicted_count += 1
         return evicted_count
 
-    def advance(
-        self,
-        version: int,
-        dirty_ranges: DirtyRanges,
-        recompute_rows: Optional[Callable[[int, int, int], np.ndarray]] = None,
-    ) -> Dict[str, int]:
-        """Publish a new index version with per-seed invalidation.
+    def advance(self, version: int, changed: bool) -> Dict[str, int]:
+        """Publish a new index version: retag every entry, or drop every
+        entry when the factors ``changed``.
 
-        ``dirty_ranges`` lists the ``[start, stop)`` node ranges whose
-        ``Z``/``U`` rows changed between the old and new index (e.g.
-        repaired shard ranges).  Per entry:
-
-        * the seed itself falls in a dirty range — **dropped** (its
-          ``U`` row may have changed, so the whole column is suspect);
-        * otherwise, dirty ranges exist — the column's rows inside each
-          dirty range are **patched** via ``recompute_rows(seed, start,
-          stop)`` (which must return the final served values for those
-          rows, identity term included).  By Theorem 3.5 row
-          independence the patched column is bit-identical to a fresh
-          exact compute against the new index.  Without a
-          ``recompute_rows`` callback such entries are dropped instead;
-        * no dirty ranges at all — the entry is **retained** untouched
-          (exact pre-swap bytes) and merely retagged.
-
-        A ``recompute_rows`` failure drops that entry rather than
-        failing the publish.  Returns ``{"dropped", "patched",
-        "retained"}`` counts.
+        Returns ``{"dropped", "retained"}`` counts.
         """
-        ranges = _normalize_ranges(dirty_ranges)
-        dropped = patched = retained = 0
         with self._lock:
             if int(version) <= self._version:
                 raise InvalidParameterError(
                     f"cache version must advance monotonically: "
                     f"got {version}, current {self._version}"
                 )
-            for seed in list(self._columns.keys()):
-                if self._tags.get(seed, 0) != self._version:
-                    # an entry from an even older version (should not
-                    # happen — advance retags survivors — but never
-                    # carry unknown bytes forward)
-                    self._drop(seed)
-                    dropped += 1
-                elif _in_ranges(seed, ranges):
-                    self._drop(seed)
-                    dropped += 1
-                elif ranges:
-                    if recompute_rows is None:
-                        self._drop(seed)
-                        dropped += 1
-                        continue
-                    column = self._columns[seed].copy()
-                    try:
-                        for start, stop in ranges:
-                            column[start:stop] = recompute_rows(
-                                seed, start, stop
-                            )
-                    except Exception:
-                        self._drop(seed)
-                        dropped += 1
-                        continue
-                    column.flags.writeable = False
-                    self._columns[seed] = column
+            if changed:
+                dropped, retained = len(self._columns), 0
+                self.clear()
+            else:
+                dropped, retained = 0, len(self._columns)
+                for seed in self._columns:
                     self._tags[seed] = int(version)
-                    if self._validate:
-                        self._checksums[seed] = _fingerprint(column)
-                    patched += 1
-                else:
-                    self._tags[seed] = int(version)
-                    retained += 1
             self._version = int(version)
-        return {"dropped": dropped, "patched": patched, "retained": retained}
+        return {"dropped": dropped, "retained": retained}
 
     def clear(self) -> None:
         """Drop every resident column (counters are preserved)."""
@@ -594,32 +523,23 @@ class TopKCache:
                 evicted_count += 1
         return evicted_count
 
-    def advance(self, version: int, dirty_ranges: DirtyRanges) -> Dict[str, int]:
-        """Publish a new index version over the ranking cache.
-
-        A clean swap (no dirty ranges — e.g. a byte-no-op update batch)
-        retags every entry: the rankings' bytes are provably unchanged.
-        Any dirty range clears the cache instead: a ranking is a global
-        ordering over *all* candidates, so a changed row anywhere can
-        displace entries and no per-range patch can restore the prefix
-        guarantee.  Returns ``{"dropped", "retained"}`` counts.
+    def advance(self, version: int, changed: bool) -> Dict[str, int]:
+        """Publish a new index version over the ranking cache, as
+        :meth:`ColumnCache.advance` does: retag every entry on a swap
+        that changed no factor byte, drop every entry otherwise.
+        Returns ``{"dropped", "retained"}`` counts.
         """
-        ranges = _normalize_ranges(dirty_ranges)
         with self._lock:
             if int(version) <= self._version:
                 raise InvalidParameterError(
                     f"cache version must advance monotonically: "
                     f"got {version}, current {self._version}"
                 )
-            if ranges:
-                dropped = len(self._entries)
-                retained = 0
-                self._entries.clear()
-                self._tags.clear()
-                self._bytes = 0
+            if changed:
+                dropped, retained = len(self._entries), 0
+                self.clear()
             else:
-                dropped = 0
-                retained = len(self._entries)
+                dropped, retained = 0, len(self._entries)
                 for key in self._entries:
                     self._tags[key] = int(version)
             self._version = int(version)

@@ -257,14 +257,9 @@ class FrontendClient:
         self,
         store_path: str,
         *,
-        dirty_ranges: Optional[Sequence[Tuple[int, int]]] = None,
         replica_path: Optional[str] = None,
     ) -> int:
         body: Dict[str, Any] = {"store_path": str(store_path)}
-        if dirty_ranges is not None:
-            body["dirty_ranges"] = [
-                [int(start), int(stop)] for start, stop in dirty_ranges
-            ]
         if replica_path is not None:
             body["replica_path"] = str(replica_path)
         return int(self._call("/admin/publish", body)["index_version"])

@@ -2,9 +2,7 @@
 
 :class:`PooledIndex` presents the backend surface
 :class:`~repro.serving.service.CoSimRankService` computes against —
-``query_columns``, the ``top_k_chunk`` hook, and the
-``gather_z_rows``/``gather_u_rows`` pair the cache row-patcher uses —
-but every call is an RPC to a :class:`~repro.serving.frontend.worker.
+``query_columns`` and the ``top_k_chunk`` hook — but every call is an RPC to a :class:`~repro.serving.frontend.worker.
 WorkerPool` process.  The service therefore *is* the frontend
 dispatcher: plan/coalesce/cache/budget/deadline/retry logic runs once
 in the dispatcher process, and only cache *misses* cross the process
@@ -91,12 +89,6 @@ class PooledIndex:
         return self._pool.topk(
             self.version, seeds, k, exclude_self, mode, self.tier
         )
-
-    def gather_z_rows(self, rows) -> np.ndarray:
-        return self._pool.gather(self.version, "z", rows)
-
-    def gather_u_rows(self, rows) -> np.ndarray:
-        return self._pool.gather(self.version, "u", rows)
 
     def close(self) -> None:
         """The pool outlives its proxies; closing a proxy is a no-op."""

@@ -53,7 +53,7 @@ import signal
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import (
     DeadlineExceeded,
@@ -71,6 +71,7 @@ from repro.serving.frontend.protocol import (
 )
 from repro.serving.frontend.worker import WorkerPool
 from repro.serving.service import QUALITY_LEVELS, CoSimRankService
+from repro.sharding.store import replica_store_path
 
 logger = logging.getLogger("repro.serving.frontend")
 
@@ -274,7 +275,6 @@ class FrontendServer:
         self,
         store_path: str,
         *,
-        dirty_ranges: Optional[Sequence[Tuple[int, int]]] = None,
         replica_path: Optional[str] = None,
     ) -> int:
         """Swap every worker (and the dispatcher caches) to a new store.
@@ -283,14 +283,14 @@ class FrontendServer:
         :meth:`~repro.serving.service.CoSimRankService.publish_index`:
         workers open the new store alongside the old one (pinned
         batches keep finishing on the version they entered with), then
-        the service swaps its :class:`PooledIndex` pointer and
-        upgrades the caches — row-patching survivors through the
-        pool's ``gather`` RPCs, bit-identically to a fresh compute.
-        ``dirty_ranges`` defaults to everything-dirty (the
-        conservative choice when the caller has no repair report).
-        ``replica_path`` is the new version's replica store; ``None``
-        keeps the current replica (docs/approx.md).
+        the service swaps its :class:`PooledIndex` pointer and drops
+        every cached answer (a pooled backend never proves its factors
+        unchanged).  ``replica_path`` is the new version's replica
+        store; ``None`` uses ``<store_path>/replica`` when that exists
+        and otherwise keeps the current replica (docs/approx.md).
         """
+        if replica_path is None:
+            replica_path = replica_store_path(store_path)
         with self._publish_lock:
             version = self._version + 1
             self.pool.publish(version, store_path, replica_path)
@@ -302,9 +302,7 @@ class FrontendServer:
                 )
             index = PooledIndex(self.pool, meta, version)
             approx = self._replica_proxy(meta, version)
-            published = self.service.publish_index(
-                index, dirty_ranges=dirty_ranges, approx_index=approx
-            )
+            published = self.service.publish_index(index, approx_index=approx)
             self._version = version
             self._m_index_version.set(version)
             if published != version:  # pragma: no cover - defensive
@@ -686,13 +684,9 @@ class FrontendServer:
             store_path = obj.get("store_path")
             if not isinstance(store_path, str) or not store_path:
                 raise InvalidParameterError('publish needs a "store_path"')
-            dirty = obj.get("dirty_ranges")
-            if dirty is not None:
-                dirty = [(int(start), int(stop)) for start, stop in dirty]
             version = await self._run_blocking(
                 self.publish_store,
                 store_path,
-                dirty_ranges=dirty,
                 replica_path=obj.get("replica_path"),
             )
             return 200, {"index_version": version}, "application/json"

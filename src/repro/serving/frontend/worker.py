@@ -295,16 +295,6 @@ def worker_main(
                         mode=mode,
                     ),
                 )
-            elif op == "gather":
-                _, version, which, rows = message
-                index = state.index_for(version)
-                rows = np.asarray(rows, dtype=np.int64)
-                gathered = (
-                    index.gather_z_rows(rows)
-                    if which == "z"
-                    else index.gather_u_rows(rows)
-                )
-                reply = ("ok", np.asarray(gathered))
             elif op == "describe":
                 reply = ("ok", state.describe(message[1]))
             elif op == "publish":
@@ -575,9 +565,6 @@ class WorkerPool:
         return self.submit(
             "topk", version, seeds, int(k), bool(exclude_self), mode, tier
         )
-
-    def gather(self, version: int, which: str, rows):
-        return self.submit("gather", version, which, np.asarray(rows, np.int64))
 
     def describe(self, tier: str = "exact") -> Dict[str, Any]:
         """Shape, config and ``approx_atol`` of the newest version's

@@ -7,20 +7,16 @@ three existing mechanisms:
 * :class:`~repro.core.dynamic.DynamicCSRPlus` keeps the evolving graph
   and the update log (``csrplus_dynamic_staleness``), routing rebuilds
   through a pluggable ``rebuilder``;
-* targeted shard repair
-  (:func:`~repro.sharding.builder.repair_sharded_store`) rebuilds only
-  the node ranges whose ``Z``/``U`` rows changed — digest-diffed per
-  shard, falling back to a full rebuild past a dirty-fraction
-  threshold — into a *new* per-version store directory, hard-linking
-  clean shard files (old readers keep their mmaps; nothing is ever
-  rewritten in place);
+* shard repair (:func:`~repro.sharding.builder.repair_sharded_store`)
+  replays the store's build pipeline against the new graph into a
+  *new* per-version store directory (old readers keep their mmaps;
+  nothing is ever rewritten in place);
 * :meth:`~repro.serving.service.CoSimRankService.publish_index` swaps
   the new version in atomically while in-flight batches finish on the
-  old one, upgrading per-seed cache entries instead of flushing them.
+  old one, keeping the caches warm only when no factor byte changed.
 
-Every applied batch produces an immutable :class:`IndexVersion` link:
-which shards were repaired, which row ranges went dirty, and whether
-the dirty fraction forced a full rebuild.  The chain keeps the last
+Every applied batch produces an immutable :class:`IndexVersion` link
+that records which shards' bytes changed.  The chain keeps the last
 few links alive so batches pinned to a recent version never lose their
 backing index (version stores on disk are likewise never deleted by
 the chain — old mmaps may still be reading them).
@@ -41,6 +37,7 @@ from repro.errors import InvalidParameterError
 from repro.graphs.digraph import DiGraph
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import Tracer
+from repro.serving.service import factors_changed
 
 __all__ = ["IndexVersion", "LiveIndexChain"]
 
@@ -65,14 +62,8 @@ class IndexVersion:
         This version's shard-store directory (``None`` for monolithic
         chains).  Never deleted by the chain.
     repaired_shards:
-        Shard ids whose bytes the repair actually rewrote (empty for a
-        byte-no-op update batch; all shards for a full rebuild).
-    dirty_ranges:
-        Node ranges whose ``Z``/``U`` rows changed — exactly what the
-        serving caches were advanced with.
-    full_rebuild:
-        Whether the dirty fraction (or a node-count change) forced a
-        full rebuild instead of targeted repair.
+        Shard ids whose bytes changed in the repair (empty for a
+        byte-no-op update batch and for monolithic chains).
     edges_applied:
         Requested edge changes retired by this version.
     """
@@ -81,8 +72,6 @@ class IndexVersion:
     index: object
     store_path: Optional[str] = None
     repaired_shards: Tuple[int, ...] = ()
-    dirty_ranges: Tuple[Tuple[int, int], ...] = ()
-    full_rebuild: bool = False
     edges_applied: int = 0
 
 
@@ -101,12 +90,8 @@ class LiveIndexChain:
         ``v000001/``, ...).  Required when ``num_shards`` is set.
     num_shards:
         Shard the backend into this many node ranges and route updates
-        through targeted shard repair.  ``None`` (default) keeps a
-        monolithic in-memory backend rebuilt per update batch.
-    dirty_threshold:
-        Dirty-shard fraction above which targeted repair falls back to
-        a full rebuild (see
-        :func:`~repro.sharding.builder.repair_sharded_store`).
+        through shard repair.  ``None`` (default) keeps a monolithic
+        in-memory backend rebuilt per update batch.
     keep_versions:
         How many recent :class:`IndexVersion` links stay strongly
         referenced.  Evicted links are dropped, never ``close()``-d —
@@ -138,7 +123,6 @@ class LiveIndexChain:
         *,
         store_root: Optional[str] = None,
         num_shards: Optional[int] = None,
-        dirty_threshold: float = 0.5,
         keep_versions: int = DEFAULT_KEEP_VERSIONS,
         max_workers: Optional[int] = None,
         query_mode: Optional[str] = None,
@@ -164,7 +148,6 @@ class LiveIndexChain:
         self._config = (config or CSRPlusConfig()).with_overrides(**overrides)
         self._store_root = os.fspath(store_root) if store_root else None
         self._num_shards = num_shards
-        self._dirty_threshold = float(dirty_threshold)
         self._keep_versions = int(keep_versions)
         self._max_workers = max_workers
         self._query_mode = query_mode
@@ -292,12 +275,11 @@ class LiveIndexChain:
 
         1. the evolving graph absorbs the changes
            (:class:`~repro.core.dynamic.DynamicCSRPlus` update log);
-        2. the backend is rebuilt through targeted repair — only
-           digest-mismatched shards are rewritten, into a fresh
-           per-version directory (``dynamic.rebuild`` span);
+        2. the backend is rebuilt — for a sharded chain by repair into
+           a fresh per-version directory (``dynamic.rebuild`` span);
         3. every attached service swaps atomically
            (``index.swap`` span): in-flight batches finish on the old
-           version, caches are upgraded per seed.
+           version, caches stay warm only if no factor byte changed.
         """
         added = list(added)
         removed = list(removed)
@@ -305,40 +287,28 @@ class LiveIndexChain:
             return self.current
         with self._lock:
             edges = len(added) + len(removed)
+            old_index = self._dynamic.index
             self._dynamic.update_edges(added, removed)
             self._last_report = None
             self._dynamic.refresh()  # routes through self._rebuild
             report = self._last_report
             new_index = self._dynamic.index
             self._seq += 1
-            if report is None:  # monolithic chain
-                link = IndexVersion(
-                    version=self._seq,
-                    index=new_index,
-                    full_rebuild=True,
-                    edges_applied=edges,
-                )
-                publish_ranges = None  # service diffs the dense factors
-            else:
-                n = int(self._dynamic.graph.num_nodes)
-                link = IndexVersion(
-                    version=self._seq,
-                    index=new_index,
-                    store_path=report.path,
-                    repaired_shards=report.repaired_shards,
-                    dirty_ranges=report.dirty_ranges,
-                    full_rebuild=report.full_rebuild,
-                    edges_applied=edges,
-                )
-                publish_ranges = report.dirty_ranges
+            link = IndexVersion(
+                version=self._seq,
+                index=new_index,
+                store_path=None if report is None else report.path,
+                repaired_shards=() if report is None else report.repaired_shards,
+                edges_applied=edges,
+            )
             self._m_edges.inc(edges)
             self._m_repaired.inc(len(link.repaired_shards))
-            if link.full_rebuild:
+            if factors_changed(old_index, new_index):
                 self._m_full.inc()
             self._versions.append(link)
             del self._versions[: -self._keep_versions]
             for service in self._services:
-                service.publish_index(new_index, dirty_ranges=publish_ranges)
+                service.publish_index(new_index)
             return link
 
     @property
@@ -367,7 +337,7 @@ class LiveIndexChain:
     def _rebuild(self, graph: DiGraph, config: CSRPlusConfig):
         """The :class:`DynamicCSRPlus` rebuilder seam.
 
-        Monolithic: a fresh prepare.  Sharded: targeted repair of the
+        Monolithic: a fresh prepare.  Sharded: repair of the
         newest version's store into the next version directory; the
         repair report is stashed for :meth:`update_edges` to read.
         """
@@ -381,7 +351,6 @@ class LiveIndexChain:
             graph,
             old_path,
             self._version_path(self._seq + 1),
-            dirty_threshold=self._dirty_threshold,
             overwrite=True,
         )
         self._last_report = report

@@ -492,7 +492,6 @@ class IndexRegistry:
         config: Optional[CSRPlusConfig] = None,
         *,
         num_shards: Optional[int] = None,
-        dirty_threshold: float = 0.5,
         keep_versions: Optional[int] = None,
         max_workers: Optional[int] = None,
         query_mode: Optional[str] = None,
@@ -503,7 +502,7 @@ class IndexRegistry:
         The chain owns an evolving copy of ``graph`` and a versioned
         backend: monolithic when ``num_shards`` is ``None``, else
         per-version shard stores under ``<root>/<name>.live/``
-        (``v000000/``, ``v000001/``, ...) produced by targeted repair
+        (``v000000/``, ``v000001/``, ...) produced by shard repair
         (:func:`~repro.sharding.builder.repair_sharded_store`).  Edge
         batches go through :meth:`~repro.serving.live.LiveIndexChain.
         update_edges`, which publishes each new version atomically to
@@ -524,7 +523,6 @@ class IndexRegistry:
                     else None
                 ),
                 num_shards=num_shards,
-                dirty_threshold=dirty_threshold,
                 keep_versions=(
                     keep_versions
                     if keep_versions is not None

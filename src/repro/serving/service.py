@@ -102,7 +102,7 @@ import numpy as np
 
 import repro.obs as obs
 from repro.core.base import QueryLike, normalize_queries
-from repro.core.index import CSRPlusIndex, available_cpus, exact_column_product
+from repro.core.index import CSRPlusIndex, available_cpus
 from repro.core.topk import TopKResult, top_k_blockwise
 from repro.errors import (
     ColumnComputeFailed,
@@ -115,7 +115,7 @@ from repro.obs.latency import LatencyWindow
 from repro.obs.metrics import Counter, Gauge, MetricsRegistry
 from repro.obs.tracing import Span, Tracer
 from repro.serving.admission import SeedBudget
-from repro.serving.cache import ColumnCache, TopKCache, _normalize_ranges
+from repro.serving.cache import ColumnCache, TopKCache
 from repro.serving.results import BatchResult, RequestOutcome
 from repro.core.config import QUERY_MODES
 from repro.serving.scheduler import (
@@ -125,6 +125,7 @@ from repro.serving.scheduler import (
     plan_batch,
 )
 from repro.serving.stats import ServingStats
+from repro.sharding.index import ShardedIndex
 from repro.testing import faults
 
 __all__ = ["CoSimRankService", "QUALITY_LEVELS"]
@@ -242,6 +243,28 @@ class _AnswerKind:
 def _plan_seeds(seed_ids: np.ndarray, _num_nodes: int) -> BatchPlan:
     """A top-k batch's plan: every (validated) seed is one request."""
     return BatchPlan(tuple(seed_ids.reshape(-1, 1)), np.unique(seed_ids))
+
+
+def factors_changed(old_index, new_index) -> bool:
+    """Whether answers from ``new_index`` may differ from ``old_index``'s.
+
+    ``False`` only when the factors are provably byte-identical: both
+    backends expose dense ``factors`` whose ``Z`` and ``U`` are equal,
+    or both are :class:`~repro.sharding.ShardedIndex` stores whose
+    manifests list the same shard entries (ranges and digests) — and
+    the damping agrees.
+    Any other pair (e.g. every frontend ``PooledIndex``) counts as
+    changed.
+    """
+    if old_index.config.damping != new_index.config.damping:
+        return True
+    if hasattr(old_index, "factors") and hasattr(new_index, "factors"):
+        old_u, _, _, old_z = old_index.factors
+        new_u, _, _, new_z = new_index.factors
+        return not (np.array_equal(old_z, new_z) and np.array_equal(old_u, new_u))
+    if isinstance(old_index, ShardedIndex) and isinstance(new_index, ShardedIndex):
+        return old_index.store.manifest.shards != new_index.store.manifest.shards
+    return True
 
 
 class CoSimRankService:
@@ -495,7 +518,9 @@ class CoSimRankService:
             "csrplus_serve_cache_invalidated_total",
             "Cached columns dropped by version swaps (touched seeds)",
         )
-        self._m_cache_patched = reg.counter(
+        # registered so the family stays on the scrape; swaps are
+        # all-or-nothing now, so it reads 0
+        reg.counter(
             "csrplus_serve_cache_patched_total",
             "Cached columns row-patched across version swaps",
         )
@@ -1183,13 +1208,7 @@ class CoSimRankService:
         with self._swap_lock:
             return self._approx_version
 
-    def publish_index(
-        self,
-        new_index,
-        *,
-        dirty_ranges: Optional[Sequence[Tuple[int, int]]] = None,
-        approx_index=None,
-    ) -> int:
+    def publish_index(self, new_index, *, approx_index=None) -> int:
         """Atomically swap in a rebuilt index — zero downtime.
 
         The swap itself is one pointer exchange under ``_swap_lock``:
@@ -1198,13 +1217,12 @@ class CoSimRankService:
         index object is never mutated, so no request ever mixes
         versions inside one answer).
 
-        Caches are *upgraded*, not flushed: entries whose seed row
-        ranges were untouched by the rebuild are retagged to the new
-        version wholesale; entries overlapping a dirty row range are
-        row-patched with the canonical exact kernel (bit-identical to a
-        fresh recompute, Theorem 3.5 row independence) or dropped when
-        their seed itself went dirty.  See
-        :meth:`~repro.serving.cache.ColumnCache.advance`.
+        The caches advance all-or-nothing (:func:`factors_changed`):
+        when the new factors are byte-identical to the old ones (e.g. a
+        batch that re-added an existing edge) every entry is retagged
+        to the new version and keeps its exact bytes; otherwise every
+        entry is dropped.  See :meth:`~repro.serving.cache.ColumnCache.
+        advance`.
 
         Parameters
         ----------
@@ -1212,12 +1230,6 @@ class CoSimRankService:
             A prepared index for the updated graph.  Must have the same
             ``num_nodes`` and ``dtype`` as the one being replaced (the
             per-seed caches are shaped for them).
-        dirty_ranges:
-            Row ranges ``(start, stop)`` whose ``Z``/``U`` rows changed
-            in the rebuild (e.g. from
-            :class:`~repro.sharding.ShardRepairReport.dirty_ranges`).
-            ``None`` infers them by diffing factors when both indexes
-            are monolithic, else conservatively marks every row dirty.
         approx_index:
             Optional replica for the updated graph (e.g.
             ``new_index.truncate_to_rank(...)``); swapped atomically
@@ -1246,15 +1258,12 @@ class CoSimRankService:
                     f"serving {np.dtype(old_index.dtype)}, got "
                     f"{np.dtype(new_index.dtype)}"
                 )
-            if dirty_ranges is None:
-                dirty_ranges = self._infer_dirty_ranges(old_index, new_index)
-            ranges = _normalize_ranges(dirty_ranges)
+            changed = factors_changed(old_index, new_index)
             with self._tracer.span(
                 "index.swap",
                 from_version=self._index_version,
                 to_version=self._index_version + 1,
-                dirty_ranges=len(ranges),
-                dirty_rows=sum(stop - start for start, stop in ranges),
+                changed=changed,
             ):
                 with self._swap_lock:
                     self.index = new_index
@@ -1265,14 +1274,11 @@ class CoSimRankService:
                         self._approx_version = version
                 # in-flight batches pinned the old (index, version) pair
                 # and keep finishing on it; from here on every new batch
-                # sees the new pair.  The cache upgrade below happens
+                # sees the new pair.  The cache advance below happens
                 # outside _swap_lock — stale-version inserts are dropped
                 # by the caches, so old batches cannot poison entries.
-                patcher = self._make_row_patcher(new_index)
-                col = self._cache.advance(
-                    version, ranges, recompute_rows=patcher
-                )
-                topk = self._topk_cache.advance(version, ranges)
+                col = self._cache.advance(version, changed)
+                topk = self._topk_cache.advance(version, changed)
             elapsed = self._clock() - started
             with self._stats_lock:
                 self._m_index_version.set(version)
@@ -1281,73 +1287,10 @@ class CoSimRankService:
                     self._publish_approx_atol(approx_index)
                 self._m_swap_seconds.observe(elapsed)
                 self._m_cache_invalidated.inc(col["dropped"])
-                self._m_cache_patched.inc(col["patched"])
                 self._m_cache_retained.inc(col["retained"])
                 self._m_topk_invalidated.inc(topk["dropped"])
                 self._m_topk_retained.inc(topk["retained"])
         return version
-
-    @staticmethod
-    def _infer_dirty_ranges(old_index, new_index):
-        """Row ranges whose factors changed, by direct comparison.
-
-        Only possible when both backends expose dense ``factors``
-        (monolithic indexes); otherwise every row is conservatively
-        dirty — sharded rebuilds should pass the repair report's
-        digest-diffed ranges instead.
-        """
-        n = int(new_index.num_nodes)
-        if not (hasattr(old_index, "factors") and hasattr(new_index, "factors")):
-            return ((0, n),)
-        old_u, _, _, old_z = old_index.factors
-        new_u, _, _, new_z = new_index.factors
-        if old_u.shape != new_u.shape or old_z.shape != new_z.shape:
-            return ((0, n),)
-        dirty = np.any(old_z != new_z, axis=1) | np.any(old_u != new_u, axis=1)
-        # run boundaries: where the padded dirty mask flips
-        edges = np.flatnonzero(np.diff(np.concatenate(([0], dirty, [0]))))
-        return tuple(zip(edges[0::2].tolist(), edges[1::2].tolist()))
-
-    @staticmethod
-    def _make_row_patcher(index):
-        """``recompute_rows(seed, start, stop)`` against ``index``.
-
-        Returns the *final* cached-column values for rows
-        ``[start, stop)`` of seed's column — damping applied and the
-        identity contribution included — via the same expression, cast,
-        and add order as the backends' exact paths, so a patched column
-        is bit-identical to a fresh ``query_columns([seed])``
-        (partition stability of :func:`~repro.core.index.
-        exact_column_product`).
-        """
-        damping = index.config.damping
-        dtype = np.dtype(index.dtype)
-        if hasattr(index, "gather_z_rows"):
-            # sharded backend: gather the stored-dtype rows from owner
-            # shards (same bytes the shard kernel reads)
-            def load(seed, start, stop):
-                z_rows = index.gather_z_rows(
-                    np.arange(start, stop, dtype=np.int64)
-                )
-                u_row = index.gather_u_rows(
-                    np.asarray([seed], dtype=np.int64)
-                )[0]
-                return z_rows, u_row
-        else:
-            u_all, _sigma, _p, z_all = index.factors
-
-            def load(seed, start, stop):
-                return z_all[start:stop], u_all[int(seed), :]
-
-        def recompute_rows(seed, start, stop):
-            z_rows, u_row = load(seed, start, stop)
-            rows = damping * exact_column_product(z_rows, u_row)
-            rows = np.asarray(rows, dtype=dtype)
-            if start <= seed < stop:
-                rows[seed - start] += 1.0
-            return rows
-
-        return recompute_rows
 
     # ------------------------------------------------------------------
     # stats and lifecycle

@@ -72,8 +72,18 @@ from repro.graphs.digraph import DiGraph
 from repro.graphs.transition import transition_matrix
 from repro.linalg.stein import sigma_p_sigma, solve_stein
 from repro.linalg.svd import arpack_svds, truncated_svd, uses_dense_fallback
-from repro.sharding.manifest import ShardManifest, array_sha256, plan_shards
-from repro.sharding.store import REPLICA_DIR, ShardStore, ShardStoreWriter
+from repro.sharding.manifest import (
+    ShardManifest,
+    ShardMeta,
+    array_sha256,
+    plan_shards,
+)
+from repro.sharding.store import (
+    REPLICA_DIR,
+    ShardStore,
+    ShardStoreWriter,
+    replica_store_path,
+)
 
 __all__ = [
     "build_sharded_store",
@@ -282,7 +292,6 @@ def build_sharded_store(
     cfg = (config or CSRPlusConfig()).with_overrides(**overrides)
     meter = memory if memory is not None else MemoryMeter(cfg.memory_budget_bytes)
     factors, block_rows = _compute_factors(graph, cfg, meter, block_rows)
-    u_factor, sigma, h_matrix, z_block_of, iterations = factors
     # The effective streaming block height is part of the determinism
     # record: blockwise H accumulation is partition-dependent in
     # floating point, so rebuilds must replay the same height (0 = the
@@ -292,19 +301,50 @@ def build_sharded_store(
         plan_shards(graph.num_nodes, num_shards),
         cfg,
         builder="out-of-core",
-        stein_iterations=iterations,
+        stein_iterations=factors[4],
         block_rows=block_rows,
         overwrite=overwrite,
     )
+    if replica_path is None and overwrite:
+        shutil.rmtree(os.path.join(writer.path, REPLICA_DIR), ignore_errors=True)
+    store, _ = _write_store(
+        writer, factors, cfg, block_rows, meter, replica_path, overwrite
+    )
+    # Everything the factor pipeline retained dies with this frame —
+    # settle the ledger so the peak is the build's only legacy.
+    del factors
+    for label in list(meter.live_breakdown()):
+        if label.startswith("shard/"):
+            meter.release(label)
+    publish_peak(meter, "shard-build")
+    return store
+
+
+def _write_store(
+    writer: ShardStoreWriter,
+    factors: _Factors,
+    cfg: CSRPlusConfig,
+    block_rows: int,
+    meter: MemoryMeter,
+    replica_path=None,
+    overwrite: bool = False,
+) -> Tuple[ShardStore, List[ShardMeta]]:
+    """Write every shard of ``factors`` (and, with ``replica_path``,
+    the replica store beside it) and finalize both manifests.
+
+    The one write loop behind builds and repairs.  Returns the opened
+    store and the manifest entries :meth:`ShardStoreWriter.write_shard`
+    recorded, in shard order.
+    """
+    u_factor, sigma, h_matrix, z_block_of, _ = factors
     replica = None
     if replica_path is not None:
         replica = _ReplicaWriter(
             replica_path, writer.boundaries, sigma, h_matrix, cfg,
             block_rows, overwrite,
         )
-    elif overwrite:
-        shutil.rmtree(os.path.join(writer.path, REPLICA_DIR), ignore_errors=True)
     itemsize = np.dtype(cfg.dtype).itemsize
+    metas = []
     for i, (start, stop) in enumerate(writer.boundaries):
         rows = stop - start
         # transient f64 block plus (for f32 stores) the cast copies
@@ -315,21 +355,14 @@ def build_sharded_store(
         with meter.charged(f"shard/z-block-{i}", transient):
             z_block = _cast_block(z_block_of(start, stop), cfg.dtype)
             u_block = _cast_block(u_factor[start:stop, :], cfg.dtype)
-            writer.write_shard(i, z_block, u_block)
+            metas.append(writer.write_shard(i, z_block, u_block))
             if replica is not None:
                 replica.write_shard(i, u_factor[start:stop, :], z_block, u_block)
             del z_block, u_block
+    # the exact manifest goes last: a crash before it leaves no store
     if replica is not None:
         replica.finalize()
-    store = writer.finalize()
-    # Everything the factor pipeline retained dies with this frame —
-    # settle the ledger so the peak is the build's only legacy.
-    del factors, u_factor, z_block_of
-    for label in list(meter.live_breakdown()):
-        if label.startswith("shard/"):
-            meter.release(label)
-    publish_peak(meter, "shard-build")
-    return store
+    return writer.finalize(), metas
 
 
 class _ReplicaWriter:
@@ -439,10 +472,12 @@ def rebuild_shards(
             )
     if not targets:
         return []
-    blocks_of, _ = _replay(graph, root, manifest)
+    u_factor, _, _, z_block_of, _ = _replay(graph, root, manifest)
+    dtype = manifest.config.dtype
     for i in targets:
         meta = manifest.shards[i]
-        z_block, u_block = blocks_of(meta.start, meta.stop)
+        z_block = _cast_block(z_block_of(meta.start, meta.stop), dtype)
+        u_block = _cast_block(u_factor[meta.start : meta.stop, :], dtype)
         if verify:
             for name, block, digest in (
                 ("Z", z_block, meta.z_sha256),
@@ -473,20 +508,15 @@ def rebuild_shards(
 class ShardRepairReport:
     """Outcome of :func:`repair_sharded_store`.
 
-    ``repaired_shards`` lists the shards whose bytes changed (and were
-    rewritten); ``dirty_ranges`` gives the corresponding ``[start,
-    stop)`` node ranges — the rows of ``Z``/``U`` a version swap must
-    invalidate or patch in serving caches.  ``full_rebuild`` means the
-    dirty fraction crossed the threshold (or the node count changed)
-    and every shard was rewritten from scratch.
+    Every shard is rewritten; ``repaired_shards`` lists those whose
+    manifest entry — row range, digests, norm bound — differs from the
+    old store's (empty for a batch that changed no factor byte, e.g.
+    re-adding an existing edge).
     """
 
     path: str
     repaired_shards: Tuple[int, ...]
     total_shards: int
-    dirty_fraction: float
-    full_rebuild: bool
-    dirty_ranges: Tuple[Tuple[int, int], ...]
 
     def open(self, **kwargs) -> ShardStore:
         """Open the repaired store for serving."""
@@ -498,42 +528,27 @@ def repair_sharded_store(
     old_path: Union[str, "os.PathLike[str]"],
     new_path: Union[str, "os.PathLike[str]"],
     *,
-    dirty_threshold: float = 0.5,
     overwrite: bool = False,
 ) -> ShardRepairReport:
-    """Targeted repair of a store against a *mutated* graph (digest diff).
+    """Rebuild a store against a *mutated* graph into a new directory.
 
     Unlike :func:`rebuild_shards` — which restores a corrupted shard of
     an *unchanged* graph and leaves the manifest alone — this is the
     live-update primitive: the graph has genuinely changed, so the
-    factors (and some shard digests) have too.  The pipeline recorded
-    in the old manifest is replayed against ``graph``, every shard's
-    fresh ``Z``/``U`` blocks are hashed, and only the shards whose
-    digests differ from the old manifest are rewritten into
-    ``new_path``; byte-identical shards are hard-linked from the old
-    directory (Theorem 3.5 row independence makes per-row-range reuse
-    sound, and the digest comparison makes it *exact*).  A fresh
-    manifest is written either way, so the new directory is a complete,
-    independently verifiable store and the old one is never touched —
-    in-flight queries against mmap-ed old shards keep their bytes
-    (zero-downtime swap, docs/dynamic.md).
+    factors have too.  The pipeline recorded in the old manifest is
+    replayed against ``graph`` and every shard is written into
+    ``new_path`` by the same loop a build runs; when the old store has
+    a replica (``<store>/replica``) the new one gets a fresh replica in
+    the same pass.  The old directory is never touched — in-flight
+    queries against mmap-ed old shards keep their bytes (zero-downtime
+    swap, docs/dynamic.md).
 
-    Past ``dirty_threshold`` (fraction of shards dirty), selective
-    linking stops paying and the store is rebuilt wholesale into
-    ``new_path`` (``full_rebuild=True`` in the report).  A changed node
-    count always forces the full rebuild, since row ranges no longer
-    correspond.
-
-    Either way one :class:`~repro.sharding.store.ShardStoreWriter`
-    writes each rewritten shard and links each clean one.  A replica
-    store is refused, as by :func:`rebuild_shards`: its factors are a
-    truncation of its exact store's, so repair the exact store and
-    rebuild the replica with it.
-
-    The repaired store's bytes equal a from-scratch build against the
-    mutated graph in every case: clean shards are proven equal by
-    digest, dirty shards are freshly written from the recomputed
-    factors.
+    Every shard is written because the factors come from one global
+    truncated SVD: a real edge change moves every row of ``Z`` and
+    ``U`` that is not exactly zero, so there is no partial work to
+    save.  The repaired store is file-for-file identical to a fresh
+    build against the mutated graph.  A replica store is refused, as by
+    :func:`rebuild_shards`: repair its exact store instead.
     """
     old_root = os.fspath(old_path)
     new_root = os.fspath(new_path)
@@ -542,78 +557,45 @@ def repair_sharded_store(
             "repair_sharded_store must write a fresh directory: rewriting "
             "the live store in place would corrupt mmap-ed readers"
         )
-    if not (0.0 <= dirty_threshold <= 1.0):
-        raise InvalidParameterError(
-            f"dirty_threshold must be in [0, 1], got {dirty_threshold}"
-        )
     if os.path.exists(new_root) and not overwrite:
         raise InvalidParameterError(
             f"repair target {new_root!r} already exists "
             "(pass overwrite=True to replace it)"
         )
     manifest = ShardManifest.load(old_root)
-    blocks_of, iterations = _replay(graph, old_root, manifest)
+    factors = _replay(graph, old_root, manifest)
     if os.path.exists(new_root):
         shutil.rmtree(new_root)
-
-    node_count_changed = manifest.num_nodes != graph.num_nodes
-    boundaries = plan_shards(graph.num_nodes, manifest.num_shards)
-    total = len(boundaries)
-    dirty: List[int] = []
-    if node_count_changed:
-        dirty = list(range(total))
-    else:
-        for meta in manifest.shards:
-            z_block, u_block = blocks_of(meta.start, meta.stop)
-            if (
-                array_sha256(z_block) != meta.z_sha256
-                or array_sha256(u_block) != meta.u_sha256
-            ):
-                dirty.append(meta.index)
-            del z_block, u_block
-    dirty_fraction = len(dirty) / total if total else 0.0
-    full_rebuild = node_count_changed or dirty_fraction > dirty_threshold
-    rewrite = range(total) if full_rebuild else dirty
-
-    # One writer either way: rewritten shards are written, the rest are
-    # adopted from the old store by hard link with their manifest entry.
     writer = ShardStoreWriter(
         new_root,
-        boundaries,
+        plan_shards(graph.num_nodes, manifest.num_shards),
         manifest.config,
         builder=manifest.builder,
-        stein_iterations=iterations,
+        stein_iterations=factors[4],
         block_rows=manifest.block_rows,
     )
-    for i, (start, stop) in enumerate(boundaries):
-        if i in rewrite:
-            writer.write_shard(i, *blocks_of(start, stop))
-        else:
-            writer.link_shard(i, old_root, manifest.shards[i])
-    writer.finalize()
+    replica_path = None
+    if replica_store_path(old_root) is not None:
+        replica_path = os.path.join(new_root, REPLICA_DIR)
+    _, metas = _write_store(
+        writer, factors, manifest.config, manifest.block_rows, MemoryMeter(),
+        replica_path,
+    )
+    old = {meta.index: meta for meta in manifest.shards}
     return ShardRepairReport(
         path=new_root,
-        repaired_shards=tuple(rewrite),
-        total_shards=total,
-        dirty_fraction=1.0 if node_count_changed else dirty_fraction,
-        full_rebuild=full_rebuild,
-        dirty_ranges=(
-            ((0, graph.num_nodes),)
-            if full_rebuild
-            else tuple(boundaries[i] for i in dirty)
+        repaired_shards=tuple(
+            meta.index for meta in metas if old.get(meta.index) != meta
         ),
+        total_shards=len(metas),
     )
 
 
-def _replay(
-    graph: DiGraph, root: str, manifest: ShardManifest
-) -> Tuple[Callable[[int, int], Tuple[np.ndarray, np.ndarray]], int]:
+def _replay(graph: DiGraph, root: str, manifest: ShardManifest) -> _Factors:
     """Re-run the pipeline ``manifest`` records against ``graph``.
 
-    Returns ``blocks_of(start, stop) -> (Z, U)``, the rows of both
-    factors in the store dtype, and the Stein iteration count.  A
-    replica store is refused: its factors are a truncation of its exact
-    store's build, not a build of their own.
+    A replica store is refused: its factors are a truncation of its
+    exact store's build, not a build of their own.
     """
     if manifest.builder == "replica":
         raise InvalidParameterError(
@@ -623,19 +605,15 @@ def _replay(
     cfg = manifest.config
     if manifest.builder == "from-index":
         index = CSRPlusIndex(graph, cfg).prepare()
-        u_factor, _, _, z_matrix = index.factors
-        z_block_of = lambda start, stop: z_matrix[start:stop, :]  # noqa: E731
-        iterations = index.stein_iterations
-    else:
-        factors, _ = _compute_factors(
-            graph, cfg, MemoryMeter(), manifest.block_rows or None
-        )
-        u_factor, _, _, z_block_of, iterations = factors
-
-    def blocks_of(start: int, stop: int) -> Tuple[np.ndarray, np.ndarray]:
+        u_factor, sigma, _, z_matrix = index.factors
         return (
-            _cast_block(z_block_of(start, stop), cfg.dtype),
-            _cast_block(u_factor[start:stop, :], cfg.dtype),
+            u_factor,
+            sigma,
+            index._h,  # kept by prepare() for re-damping and truncation
+            lambda start, stop: z_matrix[start:stop, :],
+            index.stein_iterations,
         )
-
-    return blocks_of, int(iterations)
+    factors, _ = _compute_factors(
+        graph, cfg, MemoryMeter(), manifest.block_rows or None
+    )
+    return factors

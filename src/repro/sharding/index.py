@@ -146,6 +146,7 @@ class ShardedIndex:
         self._shards: Dict[int, Shard] = {}
         self._z_norms: Optional[np.ndarray] = None
         self._cache_lock = threading.Lock()
+        self._load_lock = threading.Lock()
         self._executor: Optional[ThreadPoolExecutor] = None
         self._executor_lock = threading.Lock()
         self._closed = False
@@ -238,10 +239,16 @@ class ShardedIndex:
             shard = self._shards.get(index)
         if shard is not None:
             return shard
-        shard = self._load_with_retry(index)
-        with self._cache_lock:
-            self._shards.setdefault(index, shard)
-            self._m_resident.set(len(self._shards))
+        # One load per shard: racing first calls wait for the winner's
+        # load instead of parsing the same .npy headers concurrently.
+        with self._load_lock:
+            with self._cache_lock:
+                shard = self._shards.get(index)
+            if shard is None:
+                shard = self._load_with_retry(index)
+                with self._cache_lock:
+                    self._shards[index] = shard
+                    self._m_resident.set(len(self._shards))
         return shard
 
     def _load_with_retry(self, index: int) -> Shard:

@@ -30,7 +30,6 @@ sharded index's retry + validation logic is proven against it.
 from __future__ import annotations
 
 import os
-import shutil
 from dataclasses import dataclass
 from typing import List, Optional, Tuple, Union
 
@@ -97,11 +96,9 @@ class ShardStoreWriter:
     The out-of-core builder hands each ``(Z block, U block)`` pair to
     :meth:`write_shard` as soon as it is computed and frees it
     immediately after, so the writer never holds more than the shard
-    currently being persisted; :meth:`link_shard` instead adopts an
-    unchanged shard from another store (targeted repair).
-    :meth:`finalize` refuses to run until every planned shard was
-    written or linked — a crashed build leaves no manifest, and a store
-    without a manifest does not open.
+    currently being persisted.  :meth:`finalize` refuses to run until
+    every planned shard was written — a crashed build leaves no
+    manifest, and a store without a manifest does not open.
 
     ``config`` is the pipeline the factors came from; the manifest
     records its rank, damping, epsilon, dtype, solver, dangling policy
@@ -187,31 +184,6 @@ class ShardStoreWriter:
         )
         self._written[int(index)] = meta
         return meta
-
-    def link_shard(
-        self, index: int, root: Union[str, "os.PathLike[str]"], meta: ShardMeta
-    ) -> None:
-        """Adopt shard ``index`` unchanged from the store at ``root``.
-
-        ``meta`` is that store's manifest entry for the shard.  Its
-        files are hard-linked into this store (byte sharing; a copy
-        where links are unsupported) and its entry is recorded as is.
-        """
-        if (meta.index, meta.start, meta.stop) != (index, *self._slot(index)):
-            raise InvalidParameterError(
-                f"shard {meta.index} [{meta.start}, {meta.stop}) does not "
-                f"fill slot {index} of this store"
-            )
-        for name in (meta.z_file, meta.u_file):
-            source = os.path.join(os.fspath(root), name)
-            target = os.path.join(self.path, name)
-            try:
-                if os.path.exists(target):
-                    os.remove(target)
-                os.link(source, target)
-            except OSError:
-                shutil.copy2(source, target)
-        self._written[int(index)] = meta
 
     def finalize(self, approx_atol: Optional[float] = None) -> "ShardStore":
         """Write the manifest (all shards must have been written).

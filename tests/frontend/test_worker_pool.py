@@ -48,15 +48,6 @@ class TestBitIdentity:
             assert np.array_equal(got_one.nodes, want_one.nodes)
             assert np.array_equal(got_one.scores, want_one.scores)
 
-    def test_gather_matches_store_rows(self, pool, reference):
-        rows = np.array([0, 10, 149])
-        assert np.array_equal(
-            pool.gather(0, "z", rows), reference.gather_z_rows(rows)
-        )
-        assert np.array_equal(
-            pool.gather(0, "u", rows), reference.gather_u_rows(rows)
-        )
-
 
 class TestDescribe:
     def test_describe_reports_store_shape(self, pool, reference):

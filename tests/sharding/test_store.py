@@ -95,28 +95,6 @@ class TestWriter:
         with pytest.raises(OSError):
             ShardStore(tmp_path / "w")
 
-    def test_link_shard_adopts_files_and_entry(self, index, store, tmp_path):
-        writer = ShardStoreWriter(
-            tmp_path / "copy", store.boundaries, index.config,
-            builder="from-index", stein_iterations=index.stein_iterations,
-        )
-        for meta in store.manifest.shards:
-            writer.link_shard(meta.index, store.path, meta)
-        copy = writer.finalize()
-        assert copy.manifest == store.manifest
-        for i in range(store.num_shards):
-            copy.verify_shard(i)
-
-    def test_link_shard_rejects_another_slot(self, store, tmp_path):
-        writer = ShardStoreWriter(
-            tmp_path / "copy", store.boundaries, CSRPlusConfig(rank=4),
-            builder="from-index",
-        )
-        with pytest.raises(InvalidParameterError):
-            writer.link_shard(1, store.path, store.manifest.shards[0])
-        with pytest.raises(InvalidParameterError):
-            writer.link_shard(3, store.path, store.manifest.shards[0])
-
 
 class TestIntegrity:
     @staticmethod

@@ -24,6 +24,7 @@ from repro.core import topk
 from repro.core.index import CSRPlusIndex, batched_query_atol
 from repro.core.topk import DEFAULT_BLOCK_ROWS, top_k_blockwise
 from repro.graphs.generators import preferential_attachment
+from repro.obs.metrics import MetricsRegistry
 from repro.sharding import ShardedIndex, shard_index
 
 SEEDS = [0, 11, 500, 1999]
@@ -209,10 +210,12 @@ class TestResidentHead:
             skewed_index, SEEDS, 10, block_rows=block_rows
         )
         fresh_orders.clear()
-        index = _open(backend, skewed_index, store)
-        # open every shard first: the race is over the order and its
-        # head, not over first shard loads
-        index.z_row_norms()
+        metrics = MetricsRegistry()
+        index = (
+            skewed_index if backend == "memory"
+            else ShardedIndex(store, max_workers=1, metrics=metrics)
+        )
+        # the race covers first shard loads, the order and its head
         start = threading.Barrier(8)
         results = [None] * 8
 
@@ -236,6 +239,9 @@ class TestResidentHead:
         for got in results:
             _assert_same(got, serial)
         if backend == "sharded":
+            # each shard was loaded once, however the first calls raced
+            loads = metrics.counter("csrplus_shard_loads_total", "x")
+            assert loads.value == index.num_shards
             index.close()
 
     @pytest.mark.parametrize("backend", ["memory", "sharded"])
