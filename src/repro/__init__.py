@@ -22,33 +22,37 @@ import logging as _logging
 # logging.basicConfig() or a handler on "repro".
 _logging.getLogger("repro").addHandler(_logging.NullHandler())
 
-from repro.core import (
-    CSRPlusConfig,
-    CSRPlusIndex,
-    DynamicCSRPlus,
-    SimilarityEngine,
-    cosimrank_all_pairs,
-    cosimrank_multi_source,
-    cosimrank_single_pair,
-    cosimrank_single_source,
-    cosimrank_top_k,
-    suggest_rank,
-)
-from repro.errors import (
-    ConvergenceError,
-    DatasetError,
-    DecompositionError,
-    ExperimentError,
-    GraphConstructionError,
-    GraphFormatError,
-    InvalidParameterError,
-    MemoryBudgetExceeded,
-    NotPreparedError,
-    QueryError,
-    ReproError,
-)
-from repro.graphs import DiGraph, WeightedDiGraph
-from repro.serving import CoSimRankService, IndexRegistry, ServingStats
+from repro._lazy import lazy_exports as _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    ".core": [
+        "CSRPlusConfig",
+        "CSRPlusIndex",
+        "DynamicCSRPlus",
+        "SimilarityEngine",
+        "cosimrank_all_pairs",
+        "cosimrank_multi_source",
+        "cosimrank_single_pair",
+        "cosimrank_single_source",
+        "cosimrank_top_k",
+        "suggest_rank",
+    ],
+    ".errors": [
+        "ConvergenceError",
+        "DatasetError",
+        "DecompositionError",
+        "ExperimentError",
+        "GraphConstructionError",
+        "GraphFormatError",
+        "InvalidParameterError",
+        "MemoryBudgetExceeded",
+        "NotPreparedError",
+        "QueryError",
+        "ReproError",
+    ],
+    ".graphs": ["DiGraph", "WeightedDiGraph"],
+    ".serving": ["CoSimRankService", "IndexRegistry", "ServingStats"],
+})
 
 __version__ = "1.0.0"
 

@@ -47,12 +47,8 @@ from contextlib import contextmanager
 from typing import List, Optional
 
 from repro.core.config import CSRPlusConfig
-from repro.core.index import CSRPlusIndex, replica_rank
-from repro.datasets.registry import dataset_keys, load_dataset, paper_table
+from repro.datasets.registry import dataset_keys
 from repro.errors import InvalidParameterError, ReproError
-from repro.experiments.report import render_table
-from repro.experiments.runner import list_experiments, run_experiment
-from repro.graphs.io import read_edge_list
 
 __all__ = ["main", "build_parser"]
 
@@ -547,6 +543,9 @@ def _seconds(ms: Optional[float]) -> Optional[float]:
 
 
 def _load_graph(args: argparse.Namespace):
+    from repro.datasets.registry import load_dataset
+    from repro.graphs.io import read_edge_list
+
     if args.dataset:
         return load_dataset(args.dataset, args.tier)
     graph, _ = read_edge_list(args.edge_list)
@@ -561,6 +560,8 @@ def _index_config(args: argparse.Namespace, graph, **extra) -> CSRPlusConfig:
 
 
 def _cmd_experiments(args: argparse.Namespace) -> int:
+    from repro.experiments.runner import list_experiments, run_experiment
+
     if args.subcommand == "list":
         for exp_id in list_experiments():
             print(exp_id)
@@ -587,6 +588,9 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
 
 
 def _cmd_datasets(args: argparse.Namespace) -> int:
+    from repro.datasets.registry import paper_table
+    from repro.experiments.report import render_table
+
     rows = paper_table()
     print(render_table(["Data", "m", "n", "m/n", "Description"], rows))
     return 0
@@ -609,6 +613,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
                 f"dtype={index.dtype.name}  query={elapsed:.4f}s"
             )
     else:
+        from repro.core.index import CSRPlusIndex
+
         graph = _load_graph(args)
         config = _index_config(args, graph, query_mode=args.query_mode)
         index = CSRPlusIndex(graph, config).prepare()
@@ -628,6 +634,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 
 def _cmd_shard_build(args: argparse.Namespace) -> int:
+    from repro.core.index import CSRPlusIndex
     from repro.core.memory import MemoryMeter
     from repro.sharding import build_sharded_store, shard_index
 
@@ -1057,6 +1064,8 @@ def _build_served_index(
     ``chain`` is ``None``), a registry entry under ``index_dir``, or a
     fresh build; ``replica`` is the degraded tier's (docs/approx.md)
     when ``args.quality`` is not ``"exact"``."""
+    from repro.core.index import CSRPlusIndex, replica_rank
+
     graph = _load_graph(args)
     config = _index_config(args, graph)
     chain = None
@@ -1255,7 +1264,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.serving.frontend import FrontendConfig, FrontendServer
     from repro.serving.frontend.protocol import WIRE_VERSION
-    from repro.sharding import REPLICA_DIR, build_sharded_store, replica_store_path
+    from repro.sharding import REPLICA_DIR, replica_store_path
 
     if args.shards:
         if args.store:
@@ -1279,6 +1288,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         graph = _load_graph(args)
         store_path = args.store
         if not os.path.exists(os.path.join(store_path, "manifest.json")):
+            from repro.sharding import build_sharded_store
+
             build_sharded_store(
                 graph,
                 store_path,

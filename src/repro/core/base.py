@@ -26,12 +26,13 @@ import logging
 import time
 from abc import ABC, abstractmethod
 from contextlib import contextmanager
-from typing import Optional, Sequence, Union
+from typing import Optional
 
 import numpy as np
 from scipy import sparse
 
 import repro.obs as obs
+from repro.core.kernel import QueryLike, normalize_queries
 from repro.core.memory import MemoryMeter, publish_peak, sparse_nbytes
 from repro.errors import (
     InvalidParameterError,
@@ -45,28 +46,6 @@ from repro.graphs.transition import transition_matrix
 __all__ = ["SimilarityEngine", "normalize_queries"]
 
 logger = logging.getLogger("repro.engines")
-
-QueryLike = Union[int, Sequence[int], np.ndarray]
-
-
-def normalize_queries(queries: QueryLike, num_nodes: int) -> np.ndarray:
-    """Validate a query specification and return it as an int64 array.
-
-    Accepts a single node id or a sequence of ids.  Duplicates are
-    allowed (the result has one column per requested query, in order).
-    """
-    if np.isscalar(queries):
-        arr = np.asarray([queries], dtype=np.int64)
-    else:
-        arr = np.asarray(list(np.atleast_1d(queries)), dtype=np.int64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise QueryError("query set must contain at least one node id")
-    if arr.min() < 0 or arr.max() >= num_nodes:
-        raise QueryError(
-            f"query ids must be in [0, {num_nodes}), got range "
-            f"[{arr.min()}, {arr.max()}]"
-        )
-    return arr
 
 
 class SimilarityEngine(ABC):

@@ -67,7 +67,7 @@ class CSRPlusConfig:
         seed; ``"batched"`` evaluates each batch as a single GEMM — ≥2x
         the column throughput at ``|Q| >= 64`` in exchange for a
         documented tolerance-equivalence contract
-        (:func:`~repro.core.index.batched_query_atol`).
+        (:func:`~repro.core.kernel.batched_query_atol`).
     """
 
     damping: float = DEFAULT_DAMPING

@@ -32,18 +32,26 @@ with output identical to the CSR-NI baseline at equal rank
 
 from __future__ import annotations
 
-import io
-import itertools
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional, Union
 
 import numpy as np
 
 import repro.obs as obs
-from repro.core.base import QueryLike, SimilarityEngine
+from repro.core.base import SimilarityEngine
 from repro.core.config import QUERY_MODES, CSRPlusConfig
+from repro.core.kernel import (  # noqa: F401 - re-exported
+    FAN_OUT_MIN_ENTRIES,
+    KERNEL_BLOCK_BYTES,
+    QueryLike,
+    available_cpus,
+    batched_query_atol,
+    exact_column_product,
+    exact_columns,
+    kernel_block_rows,
+    kernel_workers,
+    normalize_queries,
+)
 from repro.core.memory import sparse_nbytes
 from repro.errors import InvalidParameterError, NotPreparedError, QueryError
 from repro.graphs.digraph import DiGraph
@@ -60,167 +68,6 @@ __all__ = [
     "truncation_atol",
     "truncation_residual_norms",
 ]
-
-
-def exact_column_product(z_rows: np.ndarray, u_row: np.ndarray) -> np.ndarray:
-    """The canonical exact kernel for one seed: ``z_rows @ u_row``.
-
-    ``np.einsum`` with ``optimize=False`` reduces each output row with
-    one fixed-order accumulation over its ``r`` products, so the result
-    for row ``x`` depends only on ``z_rows[x]`` and ``u_row`` — never on
-    which other rows share the call.  BLAS GEMV does not have this
-    property: its blocked kernels produce different bits for 1–3-row
-    slices than for the full product, so a row-partitioned evaluation
-    could not reproduce the monolithic bytes.  Partition stability is
-    what lets :class:`~repro.sharding.ShardedIndex` concatenate
-    per-shard results into an answer ``np.array_equal`` to the
-    monolithic one, for *any* shard layout (docs/sharding.md).
-
-    This is the single-row reference that the serving row patcher and
-    the top-k self score use; whole column blocks go through
-    :func:`exact_columns`, which computes every entry with the same
-    reduction and so returns the same bytes.
-    """
-    return np.einsum("ij,j->i", z_rows, u_row)
-
-
-#: Bytes of ``Z`` per kernel block.  A block stays cache-resident while
-#: every seed of the call is reduced against it, so ``Z`` streams from
-#: memory once per call instead of once per seed.
-KERNEL_BLOCK_BYTES = 1 << 18
-
-#: Output entries (``n * |Q|``) from which :meth:`CSRPlusIndex.
-#: query_columns` splits its row blocks over the kernel pool; smaller
-#: calls stay on the calling thread, where a hand-off would cost more
-#: than it saves.
-FAN_OUT_MIN_ENTRIES = 1 << 18
-
-
-def kernel_block_rows(rank: int, itemsize: int) -> int:
-    """Rows of ``Z`` per block of :func:`exact_columns`."""
-    return max(1, KERNEL_BLOCK_BYTES // (rank * itemsize))
-
-
-def available_cpus() -> int:
-    """CPUs this process may run on (its affinity mask, where known)."""
-    try:
-        return max(1, len(os.sched_getaffinity(0)))
-    except AttributeError:  # pragma: no cover - platforms without affinity
-        return max(1, os.cpu_count() or 1)
-
-
-def kernel_workers(num_rows: int, num_columns: int, rank: int, itemsize: int) -> int:
-    """Threads :meth:`CSRPlusIndex.query_columns` uses for one exact call.
-
-    One for calls under :data:`FAN_OUT_MIN_ENTRIES` output entries,
-    otherwise one per available CPU, capped by the number of row
-    blocks.  The choice never changes a result's bytes.
-    """
-    if num_columns == 0 or num_rows * num_columns < FAN_OUT_MIN_ENTRIES:
-        return 1
-    num_blocks = -(-num_rows // kernel_block_rows(rank, itemsize))
-    return max(1, min(available_cpus(), num_blocks))
-
-
-_pool_lock = threading.Lock()
-_pool: Optional[ThreadPoolExecutor] = None
-
-
-def _kernel_pool() -> ThreadPoolExecutor:
-    """The process-wide pool every fanned-out exact call shares.
-
-    Sized to the available CPUs, so the kernel threads of any number of
-    concurrent callers never outnumber the cores.
-    """
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(
-                max_workers=available_cpus(),
-                thread_name_prefix="cosimrank-kernel",
-            )
-        return _pool
-
-
-def _forget_pool_after_fork() -> None:
-    # A forked child inherits the pool object but none of its threads,
-    # so a submit would wait forever; the child builds its own.
-    global _pool, _pool_lock
-    _pool = None
-    _pool_lock = threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool_after_fork)
-
-
-def exact_columns(
-    z_rows: np.ndarray,
-    u_rows: np.ndarray,
-    damping: float,
-    out: np.ndarray,
-    workers: int = 1,
-) -> np.ndarray:
-    """``out[:] = damping * z_rows @ u_rows.T``, entry by exact entry.
-
-    Walks ``z_rows`` in blocks of :func:`kernel_block_rows` rows.  Each
-    block is one multi-seed ``np.einsum("ij,kj->ik")`` into its slice of
-    ``out``, scaled in place.  Entry ``(x, j)`` is the same fixed-order
-    reduction of ``z_rows[x]`` against ``u_rows[j]`` that
-    :func:`exact_column_product` performs, followed by the same
-    multiplication by ``damping``, so it depends on neither the block
-    size, the other seeds, nor ``workers``.  With ``workers > 1`` that
-    many tasks on the shared kernel pool claim blocks one at a time
-    (``np.einsum`` releases the GIL); the calling thread waits.  The
-    identity term is the caller's.
-    """
-    damping = float(damping)
-    num_rows = z_rows.shape[0]
-    step = kernel_block_rows(z_rows.shape[1], z_rows.dtype.itemsize)
-    num_blocks = -(-num_rows // step)
-
-    def run_block(lo: int) -> None:
-        block = out[lo : lo + step]
-        np.einsum("ij,kj->ik", z_rows[lo : lo + step], u_rows, out=block)
-        block *= damping
-
-    workers = min(workers, num_blocks)
-    if workers <= 1:
-        for lo in range(0, num_rows, step):
-            run_block(lo)
-        return out
-
-    # Each pool thread claims the next unclaimed block until none are
-    # left, so a thread that gets less CPU (a busy core) simply does
-    # fewer blocks instead of holding up the call.
-    claims = itertools.count()
-
-    def drain() -> None:
-        for block_id in claims:  # next() on a shared count is atomic
-            if block_id >= num_blocks:
-                return
-            run_block(block_id * step)
-
-    futures = [_kernel_pool().submit(drain) for _ in range(workers)]
-    for future in futures:
-        future.result()
-    return out
-
-
-def batched_query_atol(rank: int, dtype) -> float:
-    """Tolerance bound between batched-GEMM and per-seed-GEMV columns.
-
-    A batched ``Z @ (U[Q,:])^T`` product and the per-seed GEMV compute
-    the same length-``r`` inner products in different summation orders,
-    so each entry can differ by at most ~``r`` accumulated roundings of
-    values bounded by ``||Z_x|| * ||U_q|| <= 1/(1-c)``.  The bound used
-    throughout (tests, serving contract, docs) is
-
-        ``atol = 64 * r * eps(dtype)``
-
-    — a ~20x safety factor over the worst case observed in practice.
-    """
-    return 64.0 * max(1, int(rank)) * float(np.finfo(np.dtype(dtype)).eps)
 
 
 #: The degraded serving tier answers from a replica that keeps one rank
@@ -527,8 +374,6 @@ class CSRPlusIndex(SimilarityEngine):
         """
         block = self.query(queries)
         diag = self.diagonal()
-        from repro.core.base import normalize_queries
-
         query_ids = normalize_queries(queries, self.num_nodes)
         scale = np.sqrt(
             np.maximum(diag[:, np.newaxis], 1e-300)
@@ -655,8 +500,6 @@ class CSRPlusIndex(SimilarityEngine):
                 f"chunk_size must be >= 1, got {chunk_size}"
             )
         self.prepare()
-        from repro.core.base import normalize_queries
-
         query_ids = normalize_queries(queries, self.num_nodes)
         for start in range(0, query_ids.size, chunk_size):
             chunk = query_ids[start : start + chunk_size]

@@ -34,11 +34,11 @@ Both kernels reproduce ``SimilarityEngine.top_k``'s exact ordering —
 descending score, ties broken by ascending node id — so their results
 are drop-in substitutes for the full-sort path.  Both query modes
 score each block with one GEMM.  ``"batched"`` mode keeps those scores
-and inherits the :func:`~repro.core.index.batched_query_atol`
+and inherits the :func:`~repro.core.kernel.batched_query_atol`
 tolerance contract.  ``"exact"`` mode uses them only as a filter: a
 proven bound on the GEMM's rounding (:func:`filter_margin`) decides
 which rows could still place, and only those are rescored with the
-partition-stable :func:`~repro.core.index.exact_columns` kernel, so
+partition-stable :func:`~repro.core.kernel.exact_columns` kernel, so
 the scores are *bit-identical* to the full column and the rankings do
 not depend on the GEMM's bits.  A seed whose ``U`` row is all zero
 scores ``+-0`` against every other node; its ranking is written down
@@ -50,19 +50,21 @@ from __future__ import annotations
 import threading
 import weakref
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
 
 import repro.obs as obs
 from repro.core.config import QUERY_MODES
-from repro.core.index import (
-    CSRPlusIndex,
+from repro.core.kernel import (
     batched_query_atol,
     exact_column_product,
     exact_columns,
 )
 from repro.errors import InvalidParameterError
+
+if TYPE_CHECKING:
+    from repro.core.index import CSRPlusIndex
 
 __all__ = ["TopKResult", "top_k_pruned", "top_k_blockwise"]
 
@@ -296,7 +298,7 @@ def top_k_blockwise(
     mode:
         ``"exact"`` (bit-identical to the full column; the default via
         the index config) or ``"batched"`` (one GEMM per block, within
-        :func:`~repro.core.index.batched_query_atol` of exact).
+        :func:`~repro.core.kernel.batched_query_atol` of exact).
     memory:
         Optional :class:`~repro.core.memory.MemoryMeter`; each block's
         transient score buffer is charged while live, so the meter's

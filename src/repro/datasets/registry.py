@@ -19,11 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Dict, List, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Tuple
 
 from repro.errors import DatasetError
-from repro.graphs.digraph import DiGraph
-from repro.graphs.generators import chung_lu, erdos_renyi, preferential_attachment, rmat
+
+if TYPE_CHECKING:
+    from repro.graphs.digraph import DiGraph
 
 __all__ = ["DatasetSpec", "PAPER_DATASETS", "dataset_keys", "load_dataset", "paper_table"]
 
@@ -121,6 +122,14 @@ def dataset_keys() -> List[str]:
 
 
 def _build(spec: DatasetSpec, num_nodes: int, num_edges: int) -> DiGraph:
+    # the generators need scipy; the key table above must not
+    from repro.graphs.generators import (
+        chung_lu,
+        erdos_renyi,
+        preferential_attachment,
+        rmat,
+    )
+
     if spec.key == "FB":
         # out_degree tuned so mirrored PA lands near the target m.
         out_degree = max(1, round(num_edges / num_nodes / 1.5))

@@ -1,14 +1,18 @@
 """Linear-algebra substrate: truncated SVD, Kronecker toolkit, Stein solvers."""
 
-from repro.linalg.kronecker import kron, mixed_product, unvec, vec, vec_identity
-from repro.linalg.stein import (
-    fixed_point_iteration_count,
-    solve_stein_direct,
-    solve_stein_fixed_point,
-    solve_stein_squaring,
-    squaring_iteration_count,
-)
-from repro.linalg.svd import TruncatedSVD, truncated_svd
+from repro._lazy import lazy_exports as _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    ".kronecker": ["kron", "mixed_product", "unvec", "vec", "vec_identity"],
+    ".stein": [
+        "fixed_point_iteration_count",
+        "solve_stein_direct",
+        "solve_stein_fixed_point",
+        "solve_stein_squaring",
+        "squaring_iteration_count",
+    ],
+    ".svd": ["TruncatedSVD", "truncated_svd"],
+})
 
 __all__ = [
     "TruncatedSVD",

@@ -49,43 +49,44 @@ into a traffic-serving component:
   lock coordinating multi-process access to on-disk index state.
 """
 
-from repro.serving.admission import SeedBudget
-from repro.serving.cache import ColumnCache, TopKCache
-from repro.serving.loadgen import (
-    LoadProfile,
-    LoadReport,
-    LoadSchedule,
-    ScheduledRequest,
-    SimulatedClock,
-    build_schedule,
-    loadgen_slos,
-    run_load,
-    zipf_probabilities,
-)
-from repro.serving.live import IndexVersion, LiveIndexChain
-from repro.serving.registry import IndexRegistry
-from repro.serving.results import BatchResult, RequestOutcome
-from repro.serving.retry import Retrier, RetryPolicy
-from repro.serving.scheduler import (
-    GEMM_MIN_CHUNK,
-    BatchPlan,
-    chunk_seeds,
-    effective_chunk_size,
-    plan_batch,
-)
-from repro.serving.locks import FileLock
-from repro.serving.service import QUALITY_LEVELS, CoSimRankService
-from repro.serving.stats import ServingStats
+from repro._lazy import lazy_exports as _lazy_exports
 
-# the frontend imports repro.serving.service directly, so pulling it in
-# last keeps the package import acyclic
-from repro.serving.frontend import (  # noqa: E402  (deliberate ordering)
-    BackgroundFrontend,
-    FrontendClient,
-    FrontendConfig,
-    FrontendServer,
-    WorkerPool,
-)
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    ".admission": ["SeedBudget"],
+    ".cache": ["ColumnCache", "TopKCache"],
+    ".frontend": [
+        "BackgroundFrontend",
+        "FrontendClient",
+        "FrontendConfig",
+        "FrontendServer",
+        "WorkerPool",
+    ],
+    ".live": ["IndexVersion", "LiveIndexChain"],
+    ".loadgen": [
+        "LoadProfile",
+        "LoadReport",
+        "LoadSchedule",
+        "ScheduledRequest",
+        "SimulatedClock",
+        "build_schedule",
+        "loadgen_slos",
+        "run_load",
+        "zipf_probabilities",
+    ],
+    ".locks": ["FileLock"],
+    ".registry": ["IndexRegistry"],
+    ".results": ["BatchResult", "RequestOutcome"],
+    ".retry": ["Retrier", "RetryPolicy"],
+    ".scheduler": [
+        "GEMM_MIN_CHUNK",
+        "BatchPlan",
+        "chunk_seeds",
+        "effective_chunk_size",
+        "plan_batch",
+    ],
+    ".service": ["QUALITY_LEVELS", "CoSimRankService"],
+    ".stats": ["ServingStats"],
+})
 
 __all__ = [
     "CoSimRankService",

@@ -16,7 +16,7 @@ length-``n`` vector ``[S]_{*,s}`` for a single seed ``s``.  Theorem 3.5
 makes every column a pure function of its own seed, and
 :meth:`repro.core.index.CSRPlusIndex.query_columns` evaluates columns
 with a batch-independent, partition-stable kernel
-(:func:`repro.core.index.exact_columns`) — together these
+(:func:`repro.core.kernel.exact_columns`) — together these
 make caching *exact*: a column assembled from cache is bit-identical to
 one computed fresh, whatever else is or was in the cache.
 

@@ -17,27 +17,24 @@ See docs/frontend.md.  The pieces:
   that quacks like the service for ``csrplus loadgen --url``.
 """
 
-from repro.serving.frontend.client import FrontendClient
-from repro.serving.frontend.metrics import (
-    merge_metric_dicts,
-    render_merged_prometheus,
-)
-from repro.serving.frontend.pooled import PooledIndex
-from repro.serving.frontend.protocol import (
-    WIRE_VERSION,
-    decode_array,
-    decode_batch_result,
-    encode_array,
-    encode_batch_result,
-    error_from_wire,
-    error_to_wire,
-)
-from repro.serving.frontend.server import (
-    BackgroundFrontend,
-    FrontendConfig,
-    FrontendServer,
-)
-from repro.serving.frontend.worker import WorkerPool
+from repro._lazy import lazy_exports as _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    ".client": ["FrontendClient"],
+    ".metrics": ["merge_metric_dicts", "render_merged_prometheus"],
+    ".pooled": ["PooledIndex"],
+    ".protocol": [
+        "WIRE_VERSION",
+        "decode_array",
+        "decode_batch_result",
+        "encode_array",
+        "encode_batch_result",
+        "error_from_wire",
+        "error_to_wire",
+    ],
+    ".server": ["BackgroundFrontend", "FrontendConfig", "FrontendServer"],
+    ".worker": ["WorkerPool"],
+})
 
 __all__ = [
     "WIRE_VERSION",

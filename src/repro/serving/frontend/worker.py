@@ -248,7 +248,7 @@ def worker_main(
     parent = os.getppid() if parent_pid is None else parent_pid
     signal.signal(signal.SIGTERM, signal.SIG_IGN)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    from repro.core.index import available_cpus
+    from repro.core.kernel import available_cpus
     from repro.linalg.blas import set_blas_threads
 
     set_blas_threads(max(1, available_cpus() // num_workers))

@@ -16,7 +16,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.base import QueryLike, normalize_queries
+from repro.core.kernel import QueryLike, normalize_queries
 from repro.errors import InvalidParameterError
 
 __all__ = [

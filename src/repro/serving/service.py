@@ -36,7 +36,7 @@ evaluated as one ``Z @ (U[Q,:])^T`` GEMM — far higher column
 throughput under heavy multi-source traffic — and the cache stores the
 batch-computed columns under a *tolerance-equivalence* contract
 instead of the bit-exact one: every served entry is within
-:func:`~repro.core.index.batched_query_atol` of the exact value, and a
+:func:`~repro.core.kernel.batched_query_atol` of the exact value, and a
 cache hit replays the exact bytes of the first computation (serving
 stays deterministic per cache state, but a column's bits depend on
 which seeds shared its first chunk).  See docs/serving.md.
@@ -96,13 +96,21 @@ import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
 import repro.obs as obs
-from repro.core.base import QueryLike, normalize_queries
-from repro.core.index import CSRPlusIndex, available_cpus
+from repro.core.kernel import QueryLike, available_cpus, normalize_queries
 from repro.core.topk import TopKResult, top_k_blockwise
 from repro.errors import (
     ColumnComputeFailed,
@@ -127,6 +135,9 @@ from repro.serving.scheduler import (
 from repro.serving.stats import ServingStats
 from repro.sharding.index import ShardedIndex
 from repro.testing import faults
+
+if TYPE_CHECKING:
+    from repro.core.index import CSRPlusIndex
 
 __all__ = ["CoSimRankService", "QUALITY_LEVELS"]
 
@@ -294,7 +305,7 @@ class CoSimRankService:
     max_workers:
         Thread count for miss computation.  ``None`` (default) uses
         the CPUs this process may run on
-        (:func:`~repro.core.index.available_cpus`, its affinity mask);
+        (:func:`~repro.core.kernel.available_cpus`, its affinity mask);
         ``1`` computes misses serially on the
         calling thread (no executor is ever created).
     chunk_size:
@@ -788,7 +799,7 @@ class CoSimRankService:
         mode the returned nodes, scores, and tie order are
         *bit-identical* to ``index.top_k(seed, k)`` plus the matching
         column entries; batched mode carries the
-        :func:`~repro.core.index.batched_query_atol` contract.  Results
+        :func:`~repro.core.kernel.batched_query_atol` contract.  Results
         are cached per ``(seed, exclude_self)``: a cached top-``k'``
         with ``k' >= k`` answers ``k`` by prefix slicing, without
         touching the index.

@@ -21,7 +21,7 @@ that to serve graphs whose factors do not fit in RAM as one block
   :class:`ShardedIndex` fans per-shard work across a thread pool,
   concatenating row blocks into answers ``np.array_equal`` to the
   monolithic exact path (within
-  :func:`~repro.core.index.batched_query_atol` for batched mode).
+  :func:`~repro.core.kernel.batched_query_atol` for batched mode).
 
 A :class:`ShardedIndex` plugs straight into
 :class:`~repro.serving.CoSimRankService` — cache, deadlines, retries,
@@ -29,28 +29,27 @@ load shedding, fault seams, and metrics all work unchanged — and into
 the CLI via ``csrplus shard-build`` / ``--shards``.
 """
 
-from repro.sharding.builder import (
-    ShardRepairReport,
-    build_sharded_store,
-    rebuild_shards,
-    repair_sharded_store,
-)
-from repro.sharding.index import ShardedIndex
-from repro.sharding.manifest import (
-    ShardManifest,
-    ShardMeta,
-    array_sha256,
-    plan_shards,
-)
-from repro.sharding.router import RoutedSeeds, ShardRouter
-from repro.sharding.store import (
-    REPLICA_DIR,
-    Shard,
-    ShardStore,
-    ShardStoreWriter,
-    replica_store_path,
-    shard_index,
-)
+from repro._lazy import lazy_exports as _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    ".builder": [
+        "ShardRepairReport",
+        "build_sharded_store",
+        "rebuild_shards",
+        "repair_sharded_store",
+    ],
+    ".index": ["ShardedIndex"],
+    ".manifest": ["ShardManifest", "ShardMeta", "array_sha256", "plan_shards"],
+    ".router": ["RoutedSeeds", "ShardRouter"],
+    ".store": [
+        "REPLICA_DIR",
+        "Shard",
+        "ShardStore",
+        "ShardStoreWriter",
+        "replica_store_path",
+        "shard_index",
+    ],
+})
 
 __all__ = [
     "ShardManifest",

@@ -32,7 +32,7 @@ the vh-only SVD skips sign canonicalisation (per-column sign flips
 applied consistently to ``Z`` and ``U`` cancel exactly in every query,
 since float negation is lossless) and the blockwise ``H``/``Z`` GEMMs
 sum in a different order.  Queries against such a store agree with the
-monolithic index within :func:`~repro.core.index.batched_query_atol`
+monolithic index within :func:`~repro.core.kernel.batched_query_atol`
 (measured ~1e-16 vs a ~1e-14 bound).  For *byte-identical* shards use
 :func:`~repro.sharding.store.shard_index` on a prepared index; the
 small-matrix dense-SVD path below (where out-of-core cannot pay
@@ -131,7 +131,7 @@ def _factors_streaming(
     v0 = rng.standard_normal(n)
     try:
         _, s, vt = arpack_svds(
-            q_matrix.astype(np.float64),
+            q_matrix.astype(np.float64, copy=False),
             cfg.rank,
             v0,
             return_singular_vectors="vh",

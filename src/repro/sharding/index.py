@@ -15,13 +15,13 @@ monolithic factors:
    block, exactly as the monolithic path does.
 
 Exactness: in ``"exact"`` mode each shard evaluates the same
-partition-stable kernel (:func:`~repro.core.index.exact_columns`)
+partition-stable kernel (:func:`~repro.core.kernel.exact_columns`)
 the monolithic index uses, and that kernel's output for row ``x``
 depends only on ``Z[x]`` and the query vector — so the concatenation
 is ``np.array_equal`` to the monolithic answer for any shard layout
 (docs/sharding.md has the argument).  ``"batched"`` mode runs one GEMM
 per shard and inherits the documented
-:func:`~repro.core.index.batched_query_atol` tolerance contract.
+:func:`~repro.core.kernel.batched_query_atol` tolerance contract.
 
 Robustness: shard reads (the ``shard.read`` chaos seam) are retried
 once by default; a shard that stays unreadable or fails validation
@@ -47,7 +47,7 @@ import numpy as np
 
 import repro.obs as obs
 from repro.core.config import QUERY_MODES
-from repro.core.index import exact_columns
+from repro.core.kernel import exact_columns, normalize_queries
 from repro.errors import InvalidParameterError, ShardCorrupted
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import Tracer
@@ -55,6 +55,12 @@ from repro.sharding.router import ShardRouter
 from repro.sharding.store import Shard, ShardStore
 
 __all__ = ["ShardedIndex"]
+
+#: Row gathers (``gather_u_rows``/``gather_z_rows``) of up to this many
+#: ids copy row by row; on the 8-shard TW bench store that takes a
+#: 4-seed gather from ~29 to ~8 us, and grouping by owner wins from
+#: ~64 ids on.
+ROW_COPY_MAX = 32
 
 
 class ShardedIndex:
@@ -314,13 +320,25 @@ class ShardedIndex:
         return self._gather_rows(seeds, "z")
 
     def _gather_rows(self, seeds, which: str) -> np.ndarray:
-        routed = self._router.plan(seeds)
-        rows = np.empty((int(routed.seed_ids.size), self.rank), dtype=self.dtype)
-        for s in routed.gather_shards:
-            shard = self._get_shard(s)
-            mask = routed.owners == s
-            block = shard.u if which == "u" else shard.z
-            rows[mask] = block[routed.local_rows[mask], :]
+        ids = np.asarray(seeds, dtype=np.int64).ravel()
+        owners = self._router.owners(ids)
+        rows = np.empty((ids.size, self.rank), dtype=self.dtype)
+        if ids.size <= ROW_COPY_MAX:
+            for j, (node, owner) in enumerate(zip(ids.tolist(), owners.tolist())):
+                shard = self._get_shard(owner)
+                rows[j] = getattr(shard, which)[node - shard.start]
+            return rows
+        # one fancy-index per owner shard, over its run of the sort
+        order = np.argsort(owners, kind="stable")
+        lo = 0
+        for owner, hi in enumerate(
+            np.cumsum(np.bincount(owners, minlength=self.num_shards)).tolist()
+        ):
+            if hi > lo:
+                shard = self._get_shard(owner)
+                picks = order[lo:hi]
+                rows[picks] = getattr(shard, which)[ids[picks] - shard.start]
+            lo = hi
         return rows
 
     # ------------------------------------------------------------------
@@ -332,7 +350,7 @@ class ShardedIndex:
         Same contract as :meth:`~repro.core.index.CSRPlusIndex.
         query_columns`: ``"exact"`` mode reproduces the monolithic
         bytes (``np.array_equal``), ``"batched"`` mode is within
-        :func:`~repro.core.index.batched_query_atol` of exact.
+        :func:`~repro.core.kernel.batched_query_atol` of exact.
         """
         if mode is None:
             mode = self.config.query_mode
@@ -403,8 +421,6 @@ class ShardedIndex:
 
     def query(self, queries) -> np.ndarray:
         """``n x |Q|`` similarity block; mirrors ``CSRPlusIndex.query``."""
-        from repro.core.base import normalize_queries
-
         query_ids = normalize_queries(queries, self.num_nodes)
         unique_ids, inverse = np.unique(query_ids, return_inverse=True)
         if unique_ids.size == query_ids.size:

@@ -104,9 +104,9 @@ class ShardRouter:
             )
         return int(np.searchsorted(self._stops, node, side="right"))
 
-    def plan(self, seeds) -> RoutedSeeds:
-        """Route a seed batch (validates ids, preserves duplicates)."""
-        seed_ids = np.asarray(seeds, dtype=np.int64).ravel()
+    def owners(self, seed_ids: np.ndarray) -> np.ndarray:
+        """``owners[j]``: the shard holding ``seed_ids[j]`` (an int64
+        array; validated, one ``searchsorted``)."""
         if seed_ids.size and (
             seed_ids.min() < 0 or seed_ids.max() >= self.num_nodes
         ):
@@ -114,7 +114,12 @@ class ShardRouter:
                 f"seed ids must be in [0, {self.num_nodes}), got range "
                 f"[{seed_ids.min()}, {seed_ids.max()}]"
             )
-        owners = np.searchsorted(self._stops, seed_ids, side="right")
+        return np.searchsorted(self._stops, seed_ids, side="right")
+
+    def plan(self, seeds) -> RoutedSeeds:
+        """Route a seed batch (validates ids, preserves duplicates)."""
+        seed_ids = np.asarray(seeds, dtype=np.int64).ravel()
+        owners = self.owners(seed_ids)
         local_rows = seed_ids - self._starts[owners] if seed_ids.size else owners
         return RoutedSeeds(
             seed_ids=seed_ids,

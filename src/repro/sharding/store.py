@@ -317,12 +317,14 @@ class ShardStore:
             "shard.read", (z_block, u_block), shard=int(index), path=self.path
         )
         self._check_blocks(meta, z_block, u_block, validate=validate)
+        # plain ndarray views of the maps: np.memmap's subclass hooks
+        # run on every slice and cost more than a small row copy
         return Shard(
             index=int(index),
             start=meta.start,
             stop=meta.stop,
-            z=z_block,
-            u=u_block,
+            z=np.asarray(z_block),
+            u=np.asarray(u_block),
         )
 
     def _check_blocks(
@@ -399,7 +401,7 @@ def shard_index(
     :]`` as contiguous copies of the factor rows — the identical bytes
     — so a :class:`~repro.sharding.ShardedIndex` over the result is
     ``np.array_equal`` to ``index.query_columns`` in exact mode and
-    within :func:`~repro.core.index.batched_query_atol` in batched
+    within :func:`~repro.core.kernel.batched_query_atol` in batched
     mode, for every shard count (docs/sharding.md).  This is the path
     behind ``csrplus shard-build --from-index``; the memory-bounded
     default is :func:`repro.sharding.builder.build_sharded_store`.

@@ -13,7 +13,7 @@ import threading
 import numpy as np
 import pytest
 
-import repro.core.index as index_module
+import repro.core.kernel as kernel_module
 from repro.core.index import CSRPlusIndex
 from repro.graphs import chung_lu
 
@@ -28,7 +28,7 @@ SEEDS = [5, 0, 17, 3]
 
 def _child(index, conn) -> None:
     # the inherited pool must be gone before the child's first query
-    if index_module._pool is not None:
+    if kernel_module._pool is not None:
         os._exit(3)
     conn.send_bytes(index.query_columns(SEEDS).tobytes())
     conn.close()
@@ -38,12 +38,12 @@ def _child(index, conn) -> None:
 def test_forked_child_fans_out_with_the_parents_bytes(monkeypatch):
     index = CSRPlusIndex(chung_lu(60, 240, seed=3), rank=4).prepare()
     # force fan-out in parent and (inherited) child
-    monkeypatch.setattr(index_module, "FAN_OUT_MIN_ENTRIES", 0)
-    monkeypatch.setattr(index_module, "KERNEL_BLOCK_BYTES", 7 * 4 * 8)
-    monkeypatch.setattr(index_module, "available_cpus", lambda: 2)
-    monkeypatch.setattr(index_module, "_pool", None)  # a fresh 2-thread pool
+    monkeypatch.setattr(kernel_module, "FAN_OUT_MIN_ENTRIES", 0)
+    monkeypatch.setattr(kernel_module, "KERNEL_BLOCK_BYTES", 7 * 4 * 8)
+    monkeypatch.setattr(kernel_module, "available_cpus", lambda: 2)
+    monkeypatch.setattr(kernel_module, "_pool", None)  # a fresh 2-thread pool
     expected = index.query_columns(SEEDS)
-    pool = index_module._pool
+    pool = kernel_module._pool
     # warm: start both threads, so an inherited pool would count two
     # idle threads that do not exist in the child and start none
     barrier = threading.Barrier(2)
@@ -70,14 +70,14 @@ def test_forked_child_fans_out_with_the_parents_bytes(monkeypatch):
 
 
 def test_fan_out_rule_follows_size_and_affinity(monkeypatch):
-    monkeypatch.setattr(index_module, "available_cpus", lambda: 4)
-    rows = index_module.kernel_block_rows(16, 8)
-    small = index_module.FAN_OUT_MIN_ENTRIES - 1
-    assert index_module.kernel_workers(small, 1, 16, 8) == 1
-    assert index_module.kernel_workers(10 * rows, 0, 16, 8) == 1
+    monkeypatch.setattr(kernel_module, "available_cpus", lambda: 4)
+    rows = kernel_module.kernel_block_rows(16, 8)
+    small = kernel_module.FAN_OUT_MIN_ENTRIES - 1
+    assert kernel_module.kernel_workers(small, 1, 16, 8) == 1
+    assert kernel_module.kernel_workers(10 * rows, 0, 16, 8) == 1
     # capped by the CPUs, then by the number of row blocks
-    big = max(10 * rows, index_module.FAN_OUT_MIN_ENTRIES)
-    assert index_module.kernel_workers(big, 1, 16, 8) == 4
-    assert index_module.kernel_workers(2 * rows, big, 16, 8) == 2
-    monkeypatch.setattr(index_module, "available_cpus", lambda: 1)
-    assert index_module.kernel_workers(big, 64, 16, 8) == 1
+    big = max(10 * rows, kernel_module.FAN_OUT_MIN_ENTRIES)
+    assert kernel_module.kernel_workers(big, 1, 16, 8) == 4
+    assert kernel_module.kernel_workers(2 * rows, big, 16, 8) == 2
+    monkeypatch.setattr(kernel_module, "available_cpus", lambda: 1)
+    assert kernel_module.kernel_workers(big, 64, 16, 8) == 1

@@ -1,18 +1,18 @@
 """Property: a live-repaired index is indistinguishable from a rebuild.
 
 The live chain (docs/dynamic.md) answers queries after any sequence of
-edge batches through targeted repair — only the node ranges whose
-``Z``/``U`` rows changed are rewritten, the serving caches are patched
-per seed instead of flushed.  Theorem 3.5 row independence is what
-makes that sound, so the property to pin is equivalence with the
-boring alternative: throw everything away and ``prepare()`` from
-scratch on the mutated graph.  Hypothesis searches for a
-counter-example across:
+edge batches by publishing each repaired version all-or-nothing: the
+repair rewrites every shard, and an attached service drops its caches
+whole on the swap unless the new factors are byte-identical to the old
+ones, in which case it keeps them whole.  The property to pin is
+equivalence with the boring alternative: throw everything away and
+``prepare()`` from scratch on the mutated graph.  Hypothesis searches
+for a counter-example across:
 
 * arbitrary small digraphs and random add/remove batch sequences
   (duplicates, re-adds of existing edges, and removals of missing
-  edges included — byte-no-op batches are the targeted repair's best
-  case and must still be correct);
+  edges included — byte-no-op batches are the one case where a swap
+  keeps the caches, and must still be correct);
 * monolithic chains and sharded chains with shard counts ``{1, 2, 7}``;
 * both storage dtypes (float64 / float32);
 * exact mode bit-identical (``np.array_equal``), batched mode within
@@ -38,7 +38,7 @@ SETTINGS = dict(
     suppress_health_check=[HealthCheck.too_slow],
 )
 
-#: ``None`` is a monolithic chain; the rest exercise targeted repair.
+#: ``None`` is a monolithic chain; the rest repair sharded stores.
 SHARD_COUNTS = (None, 1, 2, 7)
 
 
@@ -117,10 +117,10 @@ def test_batched_mode_within_atol_of_scratch(case, tmp_path_factory):
 @settings(**SETTINGS)
 @given(case=dynamic_case())
 def test_served_answers_survive_version_swaps(case, tmp_path_factory):
-    """Contract 3: a service warmed *before* the updates — so its cache
-    must be dropped/patched/retained correctly across every swap —
-    serves post-swap columns and rankings bit-identical to a cold
-    from-scratch service."""
+    """Contract 3: a service warmed *before* the updates — so every swap
+    must drop its caches whole, or keep them whole when the factors did
+    not change — serves post-swap columns and rankings bit-identical to
+    a cold from-scratch service."""
     chain, batches, seeds, rank, dtype = _build_chain(case, tmp_path_factory)
     k = min(3, chain.graph.num_nodes)
     with CoSimRankService(chain.index, max_workers=1) as service:

@@ -24,7 +24,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import repro.core.index as index_module
+import repro.core.kernel as kernel_module
 from repro.core.index import CSRPlusIndex, batched_query_atol
 from repro.errors import InvalidParameterError
 from repro.graphs.digraph import DiGraph
@@ -97,14 +97,14 @@ class TestModeContracts:
         with pytest.MonkeyPatch.context() as patch:
             # every call takes the blocked kernel, and the kernel pool
             # whenever more than one worker is available
-            patch.setattr(index_module, "FAN_OUT_MIN_ENTRIES", 0)
+            patch.setattr(kernel_module, "FAN_OUT_MIN_ENTRIES", 0)
             for block_rows in sorted({1, 2, 7, n}):
                 patch.setattr(
-                    index_module, "KERNEL_BLOCK_BYTES", block_rows * rank * itemsize
+                    kernel_module, "KERNEL_BLOCK_BYTES", block_rows * rank * itemsize
                 )
                 for workers in (1, 2, 3):
                     patch.setattr(
-                        index_module, "available_cpus", lambda w=workers: w
+                        kernel_module, "available_cpus", lambda w=workers: w
                     )
                     for batch, reference in zip(batches, references):
                         assert np.array_equal(index.query_columns(batch), reference)

@@ -199,3 +199,46 @@ class TestDtypeAndLayouts:
             got = sharded.query_columns([0, 88])
             assert got.dtype == np.float32
             assert np.array_equal(got, index.query_columns([0, 88]))
+
+
+class TestRowGathers:
+    """``gather_u_rows``/``gather_z_rows`` return the monolithic rows,
+    on the row-by-row path for short requests and the per-owner path
+    past ``ROW_COPY_MAX`` ids."""
+
+    REQUESTS = {
+        "duplicates": [7, 7, 41, 7, 41],
+        "unsorted": [79, 3, 60, 22, 0, 45],
+        "one-per-shard": [0, 20, 40, 60],
+        "empty": [],
+        "long-unsorted": list(np.random.default_rng(4).permutation(80)[:50]),
+        "long-duplicates": [79, 0, 41] * 20,
+    }
+
+    @pytest.mark.parametrize("name", sorted(REQUESTS))
+    def test_rows_match_the_monolithic_factors(self, index, store, name):
+        from repro.sharding.index import ROW_COPY_MAX
+
+        ids = np.asarray(self.REQUESTS[name], dtype=np.int64)
+        if name.startswith("long"):
+            assert ids.size > ROW_COPY_MAX
+        u, _, _, z = index.factors
+        with ShardedIndex(store, max_workers=1) as sharded:
+            assert sharded.router.boundaries == [
+                (0, 20), (20, 40), (40, 60), (60, 80),
+            ]
+            for got, want in (
+                (sharded.gather_u_rows(ids), u[ids]),
+                (sharded.gather_z_rows(ids), z[ids]),
+            ):
+                assert got.shape == (ids.size, index.rank)
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("ids", [[80], [-1], [3, 80], list(range(40)) + [81]])
+    def test_out_of_range_ids_raise_query_error(self, store, ids):
+        with ShardedIndex(store, max_workers=1) as sharded:
+            with pytest.raises(QueryError):
+                sharded.gather_u_rows(ids)
+            with pytest.raises(QueryError):
+                sharded.gather_z_rows(ids)
