@@ -21,9 +21,10 @@ Two evaluation strategies implement that formula (``query_mode``):
   its own ``Z`` row — the contracts the serving cache's bit-exactness
   and the sharded backend's row-block concatenation
   (:mod:`repro.sharding`) rely on;
-* ``"batched"`` — the whole batch as one GEMM with the identity
-  scattered in afterwards; much higher column throughput at large
-  ``|Q|``, with columns within :func:`batched_query_atol` of exact.
+* ``"batched"`` — the whole batch as GEMMs (one per row block, at one
+  BLAS thread) with the identity scattered in afterwards; much higher
+  column throughput at large ``|Q|``, with columns within
+  :func:`batched_query_atol` of exact.
 
 Total: ``O(r(m + n(r + |Q|)))`` time and ``O(rn)`` memory (Theorem 3.7),
 with output identical to the CSR-NI baseline at equal rank
@@ -45,6 +46,7 @@ from repro.core.kernel import (  # noqa: F401 - re-exported
     KERNEL_BLOCK_BYTES,
     QueryLike,
     available_cpus,
+    batched_columns,
     batched_query_atol,
     exact_column_product,
     exact_columns,
@@ -258,11 +260,13 @@ class CSRPlusIndex(SimilarityEngine):
         thread count can change a bit, because no entry's reduction
         depends on them.
 
-        ``mode="batched"`` evaluates the whole batch as one
-        ``c * Z @ (U[seeds,:])^T`` GEMM with the identity scattered in —
-        the literal Theorem 3.5 formula.  Far higher column throughput
-        at large ``len(seeds)``, but a column's bits now depend on its
-        batch-mates; every entry stays within
+        ``mode="batched"`` evaluates the whole batch as
+        ``c * Z @ (U[seeds,:])^T`` GEMMs with the identity scattered in —
+        the literal Theorem 3.5 formula — one per row block of the
+        exact kernel, each at one BLAS thread, fanned out the same way
+        (:func:`~repro.core.kernel.batched_columns`).  Far higher column
+        throughput at large ``len(seeds)``, but a column's bits now
+        depend on its batch-mates; every entry stays within
         ``batched_query_atol(rank, dtype)`` of the exact evaluation.
 
         Parameters
@@ -300,27 +304,31 @@ class CSRPlusIndex(SimilarityEngine):
         k = int(seed_ids.size)
         out = np.empty((n, k), dtype=self._z.dtype, order="F")
         exact_columns(
-            self._z, self._u[seed_ids, :], self.damping, out, self._exact_workers(k)
+            self._z, self._u[seed_ids, :], self.damping, out,
+            self._kernel_workers(k),
         )
         out[seed_ids, np.arange(k)] += 1.0
         return out
 
-    def _exact_workers(self, num_columns: int) -> int:
-        """Kernel threads for an exact call of ``num_columns`` seeds."""
+    def _kernel_workers(self, num_columns: int) -> int:
+        """Kernel threads for a call of ``num_columns`` seeds."""
         return kernel_workers(
             self.num_nodes, num_columns, self._z.shape[1], self._z.dtype.itemsize
         )
 
     def _query_columns_batched(self, seed_ids: np.ndarray) -> np.ndarray:
-        """One GEMM for the whole batch (validated ids, factors present)."""
-        n = self.num_nodes
-        out = np.empty((n, seed_ids.size), dtype=self._z.dtype, order="F")
-        if seed_ids.size:
-            # U[seeds,:] is a |Q| x r gather (small); the n x |Q| product
-            # lands straight in the Fortran-ordered output block.
-            np.matmul(self._z, self._u[seed_ids, :].T, out=out)
-            out *= self.damping
-            out[seed_ids, np.arange(seed_ids.size)] += 1.0
+        """One-thread GEMM row blocks for the whole batch (validated ids,
+        factors present), fanned out like the exact kernel."""
+        n, k = self.num_nodes, int(seed_ids.size)
+        out = np.empty((n, k), dtype=self._z.dtype, order="F")
+        if k:
+            # U[seeds,:] is a |Q| x r gather (small); each block's
+            # product lands straight in the Fortran-ordered output.
+            batched_columns(
+                self._z, self._u[seed_ids, :], self.damping, out,
+                self._kernel_workers(k),
+            )
+            out[seed_ids, np.arange(k)] += 1.0
         return out
 
     def _query_impl(self, query_ids: np.ndarray) -> np.ndarray:
@@ -341,10 +349,7 @@ class CSRPlusIndex(SimilarityEngine):
         seeds = query_ids if distinct else unique_ids
         span = obs.get_tracer().current_span()
         if span is not None:
-            exact = self.config.query_mode == "exact"
-            span.set_attribute(
-                "workers", self._exact_workers(seeds.size) if exact else 1
-            )
+            span.set_attribute("workers", self._kernel_workers(seeds.size))
         result = self.query_columns(seeds)
         if not distinct:
             result = result[:, inverse]
@@ -464,6 +469,23 @@ class CSRPlusIndex(SimilarityEngine):
         factors.  Without the upcast a float32 ``U`` would promote
         ``U @ (Sigma P Sigma)`` to float64 and keep it — a sibling whose
         query dtype (and ledger) diverges from a freshly prepared one.
+
+        A float64 sibling is byte-identical to a fresh ``prepare()``.  A
+        float32 one is not: only the float32 ``U`` is kept, so its ``Z``
+        is formed from ``U`` rounded to float32 (``|dU_x| <= u |U_x|``,
+        ``u = eps32 / 2``) where a fresh build uses the float64 ``U``.
+        Row ``x`` of the product then moves by at most
+        ``u * ||U_x|| * ||Sigma P Sigma||_2`` per entry, and the two
+        final roundings to float32 add ``u`` times each entry's
+        magnitude, itself at most ``||U_x|| * ||Sigma P Sigma||_2``.
+        So every entry of ``Z`` differs from the fresh one by at most
+
+            ``1.5 * eps32 * max_x ||U_x|| * ||Sigma P Sigma||_2``
+
+        (times ``1 + eps32`` for the second-order and float64 rounding
+        terms).  On ``erdos_renyi(40, 160, seed=3)`` at rank 4,
+        re-damped 0.6 -> 0.8, the bound is 7.6e-7 and the largest gap
+        1.19e-7, one float32 ulp (``tests/core/test_redamping.py``).
         """
         sibling = CSRPlusIndex(self.graph, config)
         p_matrix, sibling.stein_iterations = solve_stein(

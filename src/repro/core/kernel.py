@@ -2,14 +2,15 @@
 
 Everything a prepared CSR+ answer needs at query time, and nothing the
 offline phase needs: the partition-stable exact kernel
-(:func:`exact_columns`, :func:`exact_column_product`), its block and
+(:func:`exact_columns`, :func:`exact_column_product`), the batched GEMM
+kernel (:func:`batched_columns`), their shared block and
 thread-fan-out rules, the batched-mode tolerance
 (:func:`batched_query_atol`) and query-id validation
-(:func:`normalize_queries`).  The module imports only numpy and the
-standard library, so the online stack built on it — top-k, sharded
-stores, the serving service and the HTTP frontend's processes — never
-loads scipy, which stays behind prepare, build and repair
-(docs/frontend.md, "Boot and memory").
+(:func:`normalize_queries`).  The module imports only numpy, the
+standard library and the ctypes-only :mod:`repro.linalg.blas`, so the
+online stack built on it — top-k, sharded stores, the serving service
+and the HTTP frontend's processes — never loads scipy, which stays
+behind prepare, build and repair (docs/frontend.md, "Boot and memory").
 """
 
 from __future__ import annotations
@@ -17,12 +18,13 @@ from __future__ import annotations
 import itertools
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
-from typing import Optional, Sequence, Union
+from concurrent.futures import ThreadPoolExecutor, wait
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.errors import QueryError
+from repro.linalg.blas import single_threaded_blas
 
 __all__ = [
     "FAN_OUT_MIN_ENTRIES",
@@ -95,7 +97,8 @@ FAN_OUT_MIN_ENTRIES = 1 << 18
 
 
 def kernel_block_rows(rank: int, itemsize: int) -> int:
-    """Rows of ``Z`` per block of :func:`exact_columns`."""
+    """Rows of ``Z`` per block of :func:`exact_columns` and
+    :func:`batched_columns`."""
     return max(1, KERNEL_BLOCK_BYTES // (rank * itemsize))
 
 
@@ -108,11 +111,11 @@ def available_cpus() -> int:
 
 
 def kernel_workers(num_rows: int, num_columns: int, rank: int, itemsize: int) -> int:
-    """Threads :meth:`CSRPlusIndex.query_columns` uses for one exact call.
+    """Threads :meth:`CSRPlusIndex.query_columns` uses for one call.
 
     One for calls under :data:`FAN_OUT_MIN_ENTRIES` output entries,
     otherwise one per available CPU, capped by the number of row
-    blocks.  The choice never changes a result's bytes.
+    blocks.  The choice never changes an exact result's bytes.
     """
     if num_columns == 0 or num_rows * num_columns < FAN_OUT_MIN_ENTRIES:
         return 1
@@ -125,7 +128,7 @@ _pool: Optional[ThreadPoolExecutor] = None
 
 
 def _kernel_pool() -> ThreadPoolExecutor:
-    """The process-wide pool every fanned-out exact call shares.
+    """The process-wide pool every fanned-out kernel call shares.
 
     Sized to the available CPUs, so the kernel threads of any number of
     concurrent callers never outnumber the cores.
@@ -152,6 +155,40 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool_after_fork)
 
 
+def _run_blocks(
+    num_rows: int, step: int, run_block: Callable[[int], None], workers: int
+) -> None:
+    """Call ``run_block(lo)`` for every block start ``lo`` of ``step``
+    rows, on the calling thread or over the shared kernel pool.
+
+    With ``workers > 1`` that many pool tasks claim blocks one at a
+    time; the calling thread waits until every task has finished, so no
+    block outlives the call even when one of them raises.
+    """
+    num_blocks = -(-num_rows // step)
+    workers = min(workers, num_blocks)
+    if workers <= 1:
+        for lo in range(0, num_rows, step):
+            run_block(lo)
+        return
+
+    # Each pool thread claims the next unclaimed block until none are
+    # left, so a thread that gets less CPU (a busy core) simply does
+    # fewer blocks instead of holding up the call.
+    claims = itertools.count()
+
+    def drain() -> None:
+        for block_id in claims:  # next() on a shared count is atomic
+            if block_id >= num_blocks:
+                return
+            run_block(block_id * step)
+
+    futures = [_kernel_pool().submit(drain) for _ in range(workers)]
+    wait(futures)
+    for future in futures:
+        future.result()
+
+
 def exact_columns(
     z_rows: np.ndarray,
     u_rows: np.ndarray,
@@ -173,35 +210,48 @@ def exact_columns(
     identity term is the caller's.
     """
     damping = float(damping)
-    num_rows = z_rows.shape[0]
-    step = kernel_block_rows(z_rows.shape[1], z_rows.dtype.itemsize)
-    num_blocks = -(-num_rows // step)
 
     def run_block(lo: int) -> None:
         block = out[lo : lo + step]
         np.einsum("ij,kj->ik", z_rows[lo : lo + step], u_rows, out=block)
         block *= damping
 
-    workers = min(workers, num_blocks)
-    if workers <= 1:
-        for lo in range(0, num_rows, step):
-            run_block(lo)
-        return out
+    step = kernel_block_rows(z_rows.shape[1], z_rows.dtype.itemsize)
+    _run_blocks(z_rows.shape[0], step, run_block, workers)
+    return out
 
-    # Each pool thread claims the next unclaimed block until none are
-    # left, so a thread that gets less CPU (a busy core) simply does
-    # fewer blocks instead of holding up the call.
-    claims = itertools.count()
 
-    def drain() -> None:
-        for block_id in claims:  # next() on a shared count is atomic
-            if block_id >= num_blocks:
-                return
-            run_block(block_id * step)
+def batched_columns(
+    z_rows: np.ndarray,
+    u_rows: np.ndarray,
+    damping: float,
+    out: np.ndarray,
+    workers: int = 1,
+) -> np.ndarray:
+    """``out[:] = damping * z_rows @ u_rows.T`` as one-thread BLAS GEMMs.
 
-    futures = [_kernel_pool().submit(drain) for _ in range(workers)]
-    for future in futures:
-        future.result()
+    The batched mode's kernel, and the exact top-k filter's.  It walks
+    ``z_rows`` in the blocks of :func:`exact_columns`, with the same
+    fan-out over the kernel pool; each block is one ``np.matmul`` into
+    its slice of ``out``, scaled in place.  Every loaded OpenBLAS runs
+    at one thread for the whole call
+    (:func:`~repro.linalg.blas.single_threaded_blas`), so the pool is
+    the process's only source of kernel threads: a multi-threaded GEMM
+    would leave OpenBLAS threads spinning on the cores the pool's next
+    fan-out needs.  Entries agree with :func:`exact_columns` within
+    :func:`batched_query_atol`, not bit for bit.
+    """
+    damping = float(damping)
+    u_cols = u_rows.T
+
+    def run_block(lo: int) -> None:
+        block = out[lo : lo + step]
+        np.matmul(z_rows[lo : lo + step], u_cols, out=block)
+        block *= damping
+
+    step = kernel_block_rows(z_rows.shape[1], z_rows.dtype.itemsize)
+    with single_threaded_blas():
+        _run_blocks(z_rows.shape[0], step, run_block, workers)
     return out
 
 

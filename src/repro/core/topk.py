@@ -57,11 +57,13 @@ import numpy as np
 import repro.obs as obs
 from repro.core.config import QUERY_MODES
 from repro.core.kernel import (
+    batched_columns,
     batched_query_atol,
     exact_column_product,
     exact_columns,
 )
 from repro.errors import InvalidParameterError
+from repro.linalg.blas import single_threaded_blas
 
 if TYPE_CHECKING:
     from repro.core.index import CSRPlusIndex
@@ -424,78 +426,81 @@ def top_k_blockwise(
         visit = _visit_order(index)
         # each block's bound is its first row's norm, the block maximum
         bounds = visit.norms[::block_rows]
-        for block_id, bound in enumerate(bounds):
-            # seed i is done with this (and every later) block when the
-            # inflated bound sits strictly below its floor — candidates
-            # tied with the floor must still be scanned, since a
-            # smaller id wins the tie
-            limits = damping * bound * u_norms * (1.0 + safety) + safety
-            live = ~done & (~filled | (limits >= floors))
-            if not live.any():
-                # bounds only fall and floors only rise along the
-                # order, so no seed comes back: skip the rest
-                skipped += bounds.size - block_id
-                break
-            skipped[~live] += 1
-            active = np.flatnonzero(live)
-            start = block_id * block_rows
-            stop = min(start + block_rows, n)
-            row_ids = visit.rows[start:stop]
-            rows = row_ids.size
-            with tracer.span(
-                "topk.block",
-                parent=parent_span,
-                block=block_id,
-                rows=rows,
-                active=int(active.size),
-                query_mode=mode,
-            ):
-                z_blk = visit.z_block(start, stop, gather_z, row_bytes)
-                charge = memory.charged if memory is not None else None
-                ctx = (
-                    charge("topk/block", rows * active.size * itemsize)
-                    if charge is not None
-                    else _null_context()
-                )
-                with ctx:
-                    block_scores = _block_product(
-                        z_blk, u_rows[active, :], damping
+        # every block GEMM runs at one BLAS thread (batched_columns);
+        # pinning here once makes each block's own pin a depth bump
+        with single_threaded_blas():
+            for block_id, bound in enumerate(bounds):
+                # seed i is done with this (and every later) block when the
+                # inflated bound sits strictly below its floor — candidates
+                # tied with the floor must still be scanned, since a
+                # smaller id wins the tie
+                limits = damping * bound * u_norms * (1.0 + safety) + safety
+                live = ~done & (~filled | (limits >= floors))
+                if not live.any():
+                    # bounds only fall and floors only rise along the
+                    # order, so no seed comes back: skip the rest
+                    skipped += bounds.size - block_id
+                    break
+                skipped[~live] += 1
+                active = np.flatnonzero(live)
+                start = block_id * block_rows
+                stop = min(start + block_rows, n)
+                row_ids = visit.rows[start:stop]
+                rows = row_ids.size
+                with tracer.span(
+                    "topk.block",
+                    parent=parent_span,
+                    block=block_id,
+                    rows=rows,
+                    active=int(active.size),
+                    query_mode=mode,
+                ):
+                    z_blk = visit.z_block(start, stop, gather_z, row_bytes)
+                    charge = memory.charged if memory is not None else None
+                    ctx = (
+                        charge("topk/block", rows * active.size * itemsize)
+                        if charge is not None
+                        else _null_context()
                     )
-                    if exact:
-                        margins = (
-                            margin_scale * damping * bound * u_norms
-                            + margin_floor
+                    with ctx:
+                        block_scores = _block_product(
+                            z_blk, u_rows[active, :], damping
                         )
-                    for pos, i in enumerate(active):
-                        col = block_scores[:, pos]
-                        # the seed's own row was handled up front (its
-                        # diagonal +1 breaks the bound ordering), so it
-                        # is never a candidate here
-                        keep = row_ids != int(seed_ids[i])
-                        num_cand = int(np.count_nonzero(keep))
-                        scored[i] += num_cand
-                        scanned[i] += 1
                         if exact:
-                            picks = _filter_rows(
-                                col,
-                                keep,
-                                num_cand,
-                                k_eff,
-                                float(floors[i]) if filled[i] else None,
-                                float(margins[i]),
+                            margins = (
+                                margin_scale * damping * bound * u_norms
+                                + margin_floor
                             )
-                            cand_nodes = row_ids[picks]
-                            col = rescore(z_blk[picks], i)
-                        elif num_cand == rows:
-                            cand_nodes = row_ids
-                        else:
-                            cand_nodes = row_ids[keep]
-                            col = col[keep]
-                        if filled[i]:
-                            passing = col >= best_scores[i][-1]
-                            cand_nodes = cand_nodes[passing]
-                            col = col[passing]
-                        merge(i, cand_nodes, col)
+                        for pos, i in enumerate(active):
+                            col = block_scores[:, pos]
+                            # the seed's own row was handled up front (its
+                            # diagonal +1 breaks the bound ordering), so it
+                            # is never a candidate here
+                            keep = row_ids != int(seed_ids[i])
+                            num_cand = int(np.count_nonzero(keep))
+                            scored[i] += num_cand
+                            scanned[i] += 1
+                            if exact:
+                                picks = _filter_rows(
+                                    col,
+                                    keep,
+                                    num_cand,
+                                    k_eff,
+                                    float(floors[i]) if filled[i] else None,
+                                    float(margins[i]),
+                                )
+                                cand_nodes = row_ids[picks]
+                                col = rescore(z_blk[picks], i)
+                            elif num_cand == rows:
+                                cand_nodes = row_ids
+                            else:
+                                cand_nodes = row_ids[keep]
+                                col = col[keep]
+                            if filled[i]:
+                                passing = col >= best_scores[i][-1]
+                                cand_nodes = cand_nodes[passing]
+                                col = col[passing]
+                            merge(i, cand_nodes, col)
 
     return [
         TopKResult(
@@ -512,11 +517,14 @@ def top_k_blockwise(
 def _block_product(
     z_rows: np.ndarray, u_rows: np.ndarray, damping: float
 ) -> np.ndarray:
-    """``damping * z_rows @ u_rows.T`` as one GEMM: the scores in
-    batched mode, the filter in exact mode."""
-    scores = z_rows @ u_rows.T
-    scores *= damping
-    return scores
+    """``damping * z_rows @ u_rows.T`` by the batched kernel: the scores
+    in batched mode, the filter in exact mode."""
+    scores = np.empty(
+        (z_rows.shape[0], u_rows.shape[0]),
+        dtype=np.result_type(z_rows, u_rows),
+        order="F",
+    )
+    return batched_columns(z_rows, u_rows, damping, scores)
 
 
 def filter_margin(rank: int, dtype) -> Tuple[float, float]:

@@ -19,8 +19,9 @@ partition-stable kernel (:func:`~repro.core.kernel.exact_columns`)
 the monolithic index uses, and that kernel's output for row ``x``
 depends only on ``Z[x]`` and the query vector — so the concatenation
 is ``np.array_equal`` to the monolithic answer for any shard layout
-(docs/sharding.md has the argument).  ``"batched"`` mode runs one GEMM
-per shard and inherits the documented
+(docs/sharding.md has the argument).  ``"batched"`` mode runs the
+one-BLAS-thread GEMM kernel (:func:`~repro.core.kernel.batched_columns`)
+on each shard and inherits the documented
 :func:`~repro.core.kernel.batched_query_atol` tolerance contract.
 
 Robustness: shard reads (the ``shard.read`` chaos seam) are retried
@@ -47,7 +48,11 @@ import numpy as np
 
 import repro.obs as obs
 from repro.core.config import QUERY_MODES
-from repro.core.kernel import exact_columns, normalize_queries
+from repro.core.kernel import (
+    batched_columns,
+    exact_columns,
+    normalize_queries,
+)
 from repro.errors import InvalidParameterError, ShardCorrupted
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import Tracer
@@ -379,6 +384,7 @@ class ShardedIndex:
                 u_rows[mask] = shard.u[routed.local_rows[mask], :]
 
             damping = self.damping
+            kernel = batched_columns if mode == "batched" else exact_columns
 
             def run_block(shard_id: int) -> None:
                 shard = self._get_shard(shard_id)
@@ -392,12 +398,7 @@ class ShardedIndex:
                     rows=shard.num_rows,
                 ):
                     block = out[shard.start : shard.stop, :]
-                    if mode == "batched":
-                        partial = shard.z @ u_rows.T
-                        partial *= damping
-                        block[:] = partial
-                    else:
-                        exact_columns(shard.z, u_rows, damping, block)
+                    kernel(shard.z, u_rows, damping, block)
                 self._m_tasks.inc()
 
             # fan out: disjoint output row ranges, safe to fill in

@@ -1,7 +1,11 @@
 """Tests for the process-wide BLAS thread control around small solves."""
 
+import json
 import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -158,6 +162,48 @@ class TestSetBlasThreads:
             for (_, setter), count in zip(blas._find_controls(), before):
                 setter(count)
         assert _thread_counts() == before
+
+
+#: Run in a fresh interpreter, where scipy is not yet imported: pin
+#: with numpy's OpenBLAS alone mapped, then import scipy (which maps its
+#: own) and pin again.  Every library is first set to two threads
+#: through a fresh lookup, so the check bites on one CPU too.
+_PIN_THEN_IMPORT = """
+import json
+
+import numpy
+
+from repro.linalg import blas
+
+with blas.single_threaded_blas():
+    pass
+import scipy.sparse.linalg  # maps scipy's OpenBLAS
+
+for _, setter in blas._find_controls():
+    setter(2)
+before = [getter() for getter, _ in blas._find_controls()]
+with blas.single_threaded_blas():
+    inside = [getter() for getter, _ in blas._find_controls()]
+after = [getter() for getter, _ in blas._find_controls()]
+print(json.dumps({"before": before, "inside": inside, "after": after}))
+"""
+
+
+class TestLibrariesMappedLater:
+    @pytest.mark.timeout(120)
+    def test_a_block_pins_a_library_imported_after_the_first_block(self):
+        src = Path(blas.__file__).resolve().parents[2]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        child = subprocess.run(
+            [sys.executable, "-c", _PIN_THEN_IMPORT],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        counts = json.loads(child.stdout)
+        if len(counts["before"]) < 2:
+            pytest.skip("numpy and scipy do not load two OpenBLAS here")
+        assert counts["before"] == [2] * len(counts["before"])
+        assert counts["inside"] == [1] * len(counts["before"])
+        assert counts["after"] == counts["before"]
 
 
 class TestArpackThreadRule:
